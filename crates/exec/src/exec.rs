@@ -156,6 +156,9 @@ pub struct ExecReport {
     /// `ExecConfig::worker_trace` was set). Match `tag` against
     /// [`ExecLaunch::tag`] to attribute a span to its kernel.
     pub spans: Vec<TaskSpan>,
+    /// Elements `flat-vm` stepped a strip at a time as leaves and one at
+    /// a time (`Some` only for VM runs with telemetry on).
+    pub step_elems: Option<(u64, u64)>,
 }
 
 impl ExecReport {
@@ -244,6 +247,7 @@ pub fn run_program(prog: &Program, args: &[Value], cfg: &ExecConfig) -> Result<E
         grain: cfg.grain.max(1),
         pool: pool_telem,
         spans,
+        step_elems: None,
     })
 }
 

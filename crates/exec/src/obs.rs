@@ -243,6 +243,13 @@ pub fn render_exec_report(rep: &ExecReport) -> String {
         total.steal_fails,
         total.parks
     );
+    if let Some((leaf, scalar)) = rep.step_elems {
+        let _ = writeln!(
+            out,
+            "vm steps: {leaf} element(s) as leaf strips + {scalar} one at a time ({:.1}% leaf)",
+            pct(leaf as f64, (leaf + scalar) as f64)
+        );
+    }
 
     for l in &rep.launches {
         let _ = writeln!(
@@ -428,11 +435,13 @@ mod tests {
             grain: 4,
             pool: Some(pool),
             spans: vec![],
+            step_elems: Some((96, 32)),
         };
         let golden = "\
 -- exec report: 1 kernel(s), 2 thread(s), grain 4, wall 10.0 µs --
 pool utilization: 50.0% busy (10.0 µs busy / 2 slots x 10.0 µs wall)
 tasks 8: 6 local + 2 stolen (25.0% steal rate), 1 failed steal scans, 1 parks
+vm steps: 96 element(s) as leaf strips + 32 one at a time (75.0% leaf)
 
 kernel redres [segred]  space 256  tasks 8  wall 8.0 µs  path 't0- t1+'
   busy/worker: [worker-0 75%, caller 50%]
@@ -451,6 +460,7 @@ kernel redres [segred]  space 256  tasks 8  wall 8.0 µs  path 't0- t1+'
             grain: 1024,
             pool: None,
             spans: vec![],
+            step_elems: None,
         };
         assert_eq!(
             render_exec_report(&bare),

@@ -19,14 +19,17 @@
 //! combine passes of `segred`/`segscan` run directly on the host frame —
 //! any register they clobber is dead afterwards.
 //!
-//! The hot interpreter loop is a `match` on [`Instr`] (`#[repr(u8)]`
-//! discriminant) over the unboxed banks. The common `i64`/`f64`
-//! arithmetic and comparison operators get monomorphic opcodes;
+//! The interpreter loop is a `match` on [`Instr`] over the unboxed
+//! banks. The common `i64`/`f64`/`f32` arithmetic and comparison
+//! operators are monomorphic opcodes ([`Opc`], one table in `ops.rs`);
 //! everything rarer ([`Instr::BinGen`]/[`Instr::UnGen`]) reconstructs
 //! `Const`s and defers to the reference interpreter's scalar evaluators,
 //! so scalar semantics (wrapping, NaN ordering, division errors) are the
-//! interpreter's by construction.
+//! interpreter's by construction. A step function made only of the
+//! former also gets a [`Leaf`]: the form `run` executes a range of
+//! elements at a time.
 
+pub use crate::ops::Opc;
 use flat_ir::ast::{BinOp, Level, ThresholdId, UnOp};
 use flat_ir::prov::Prov;
 use flat_ir::types::{ScalarType, Type};
@@ -47,7 +50,23 @@ pub enum Loc {
     Arr { r: u32 },
 }
 
+/// A register as (bank letter, index): `'i'`, `'f'` or `'a'`.
+pub type Reg = (char, u32);
+
 impl Loc {
+    pub fn reg(mut self) -> Reg {
+        let (bank, r) = self.reg_mut();
+        (bank, *r)
+    }
+
+    fn reg_mut(&mut self) -> (char, &mut u32) {
+        match self {
+            Loc::Int { r, .. } => ('i', r),
+            Loc::Flt { r, .. } => ('f', r),
+            Loc::Arr { r } => ('a', r),
+        }
+    }
+
     /// The scalar type a scalar register encodes (arrays have none).
     pub fn scalar_type(&self) -> Option<ScalarType> {
         match *self {
@@ -74,40 +93,10 @@ pub enum Instr {
     // -- constants and moves ------------------------------------------
     IConst { dst: u32, v: i64 },
     FConst { dst: u32, v: f64 },
-    IMov { dst: u32, src: u32 },
-    FMov { dst: u32, src: u32 },
     AMov { dst: u32, src: u32 },
-    // -- monomorphic i64 ----------------------------------------------
-    AddI64 { dst: u32, a: u32, b: u32 },
-    SubI64 { dst: u32, a: u32, b: u32 },
-    MulI64 { dst: u32, a: u32, b: u32 },
-    MinI64 { dst: u32, a: u32, b: u32 },
-    MaxI64 { dst: u32, a: u32, b: u32 },
-    NegI64 { dst: u32, a: u32 },
-    EqI64 { dst: u32, a: u32, b: u32 },
-    NeqI64 { dst: u32, a: u32, b: u32 },
-    LtI64 { dst: u32, a: u32, b: u32 },
-    LeI64 { dst: u32, a: u32, b: u32 },
-    // -- monomorphic f64 (NegF64 also covers f32: sign flip commutes
-    //    with widening) ------------------------------------------------
-    AddF64 { dst: u32, a: u32, b: u32 },
-    SubF64 { dst: u32, a: u32, b: u32 },
-    MulF64 { dst: u32, a: u32, b: u32 },
-    DivF64 { dst: u32, a: u32, b: u32 },
-    MinF64 { dst: u32, a: u32, b: u32 },
-    MaxF64 { dst: u32, a: u32, b: u32 },
-    NegF64 { dst: u32, a: u32 },
-    EqF64 { dst: u32, a: u32, b: u32 },
-    NeqF64 { dst: u32, a: u32, b: u32 },
-    LtF64 { dst: u32, a: u32, b: u32 },
-    LeF64 { dst: u32, a: u32, b: u32 },
-    // -- monomorphic f32 (narrow operands, compute at f32, widen) -----
-    AddF32 { dst: u32, a: u32, b: u32 },
-    SubF32 { dst: u32, a: u32, b: u32 },
-    MulF32 { dst: u32, a: u32, b: u32 },
-    DivF32 { dst: u32, a: u32, b: u32 },
-    // -- bool ----------------------------------------------------------
-    Not { dst: u32, a: u32 },
+    // -- monomorphic scalar opcodes (the table in `ops.rs`); a unary
+    //    opcode carries its operand in both `a` and `b` ------------------
+    Op { op: Opc, dst: u32, a: u32, b: u32 },
     // -- generic scalar fallbacks (i32, bool logic, pow/div/rem, casts,
     //    transcendentals): reconstruct Consts, defer to the interpreter
     BinGen { op: BinOp, a: Loc, b: Loc, dst: Loc },
@@ -129,6 +118,58 @@ pub enum Instr {
     Seg(u32),
 }
 
+impl Instr {
+    /// Every scalar register the instruction itself reads (side tables
+    /// aside).
+    pub(crate) fn reads(&self, f: &mut impl FnMut(Reg)) {
+        let mut opnds = |os: &[Operand]| {
+            for o in os {
+                if let Operand::Reg(r) = o {
+                    f(('i', *r));
+                }
+            }
+        };
+        match self {
+            Instr::Op { op, a, b, .. } => {
+                let bank = op.banks().1;
+                f((bank, *a));
+                if !op.is_unary() {
+                    f((bank, *b));
+                }
+            }
+            Instr::BinGen { a, b, .. } => {
+                f(a.reg());
+                f(b.reg());
+            }
+            Instr::UnGen { a, .. } => f(a.reg()),
+            Instr::CmpThr { factors: os, .. } | Instr::Index { idxs: os, .. } => opnds(os),
+            Instr::Iota { n, .. } | Instr::RepArr { n, .. } => opnds(&[*n]),
+            Instr::Loop { bound, .. } => opnds(&[*bound]),
+            Instr::RepScalar { n, elem, .. } => {
+                opnds(&[*n]);
+                f(elem.reg());
+            }
+            Instr::ArrayLit { elems, .. } => elems.iter().for_each(|l| f(l.reg())),
+            Instr::If { cond, .. } => f(('i', *cond)),
+            // Constants; arrays; side tables, which the caller walks.
+            _ => {}
+        }
+    }
+
+    /// The register a single-result instruction writes.
+    pub(crate) fn dst_mut(&mut self) -> Option<(char, &mut u32)> {
+        match self {
+            Instr::IConst { dst, .. } | Instr::CmpThr { dst, .. } => Some(('i', dst)),
+            Instr::FConst { dst, .. } => Some(('f', dst)),
+            Instr::Op { op, dst, .. } => Some((op.banks().0, dst)),
+            Instr::BinGen { dst, .. } | Instr::UnGen { dst, .. } | Instr::Index { dst, .. } => {
+                Some(dst.reg_mut())
+            }
+            _ => None,
+        }
+    }
+}
+
 /// One bound context-dimension parameter of a compiled segop.
 #[derive(Clone, Debug)]
 pub struct CBind {
@@ -147,23 +188,33 @@ pub struct CDim {
     pub binds: Vec<CBind>,
 }
 
-/// The per-kind piece of a compiled segop. `fold` runs the segop body
-/// for one inner element and folds the result into `accs` with the
+/// The operator of a compiled `segred`/`segscan`. `fold` runs the segop
+/// body for one inner element and folds the result into `accs` with the
 /// operator; `combine` applies the operator to `accs ++ rhs`, leaving
 /// the result in `accs`.
 #[derive(Clone, Debug)]
+pub struct COperator {
+    pub fold: FuncId,
+    pub combine: FuncId,
+    pub nes: Vec<Loc>,
+    pub accs: Vec<Loc>,
+    pub rhs: Vec<Loc>,
+}
+
+/// The per-kind piece of a compiled segop.
+#[derive(Clone, Debug)]
 pub enum CSegKind {
     Map { body: FuncId, outs: Vec<Loc> },
-    Red { fold: FuncId, combine: FuncId, nes: Vec<Loc>, accs: Vec<Loc>, rhs: Vec<Loc> },
-    Scan { fold: FuncId, combine: FuncId, nes: Vec<Loc>, accs: Vec<Loc>, rhs: Vec<Loc> },
+    Red(COperator),
+    Scan(COperator),
 }
 
 impl CSegKind {
     pub fn name(&self) -> &'static str {
         match self {
             CSegKind::Map { .. } => "segmap",
-            CSegKind::Red { .. } => "segred",
-            CSegKind::Scan { .. } => "segscan",
+            CSegKind::Red(_) => "segred",
+            CSegKind::Scan(_) => "segscan",
         }
     }
 
@@ -171,7 +222,7 @@ impl CSegKind {
     pub fn outs(&self) -> &[Loc] {
         match self {
             CSegKind::Map { outs, .. } => outs,
-            CSegKind::Red { accs, .. } | CSegKind::Scan { accs, .. } => accs,
+            CSegKind::Red(op) | CSegKind::Scan(op) => &op.accs,
         }
     }
 }
@@ -226,6 +277,34 @@ pub struct CompiledSoac {
     pub dsts: Vec<Loc>,
 }
 
+/// A step function the VM runs a range at a time: straight-line, only
+/// infallible monomorphic scalar opcodes, only rank-1 inputs. `code` is
+/// the function (constants and [`Instr::Op`]s) over per-bank scratch
+/// columns instead of registers, each assigned once, with the
+/// instructions that do not depend on a carried register first.
+#[derive(Clone, Debug, Default)]
+pub struct Leaf {
+    pub code: Vec<Instr>,
+    /// `code[..prefix]` runs a strip of lanes per instruction; the
+    /// carried rest runs lane by lane.
+    pub prefix: usize,
+    /// Columns per bank (int, float).
+    pub n_cols: [u32; 2],
+    /// The column each bound input is loaded into, in bind order.
+    pub bound: Vec<u32>,
+    /// Frame registers broadcast into columns before the first strip:
+    /// host values read here, and the carried registers on entry.
+    pub uniforms: Vec<(Reg, u32)>,
+    /// Per carried register: the column a lane reads the previous lane's
+    /// value from and the one it leaves its own in.
+    pub carried: Vec<(Reg, u32, u32)>,
+    /// The column of each per-element result.
+    pub outs: Vec<u32>,
+    /// When the carried part is one `acc <- op(acc, x)` or `op(x, acc)`:
+    /// the opcode, `x`'s column, whether `acc` is the left operand.
+    pub fold: Option<(Opc, u32, bool)>,
+}
+
 /// A whole lowered program.
 #[derive(Clone, Debug)]
 pub struct CompiledProgram {
@@ -237,6 +316,9 @@ pub struct CompiledProgram {
     /// The entry function.
     pub main: FuncId,
     pub funcs: Vec<Vec<Instr>>,
+    /// Per function: `None` unless a per-element loop steps it, then the
+    /// leaf it runs as or the first instruction that disqualifies it.
+    pub steps: Vec<Option<Result<Leaf, String>>>,
     pub segs: Vec<CompiledSeg>,
     pub soacs: Vec<CompiledSoac>,
     /// Bank sizes.
@@ -278,41 +360,15 @@ fn locs(ls: &[Loc]) -> String {
 impl fmt::Display for Instr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         use Instr::*;
-        let bin3 = |f: &mut fmt::Formatter<'_>, n: &str, d: &u32, a: &u32, b: &u32, bank: char| {
-            write!(f, "{n:<12} {bank}{d} <- {bank}{a}, {bank}{b}")
-        };
         match self {
             IConst { dst, v } => write!(f, "{:<12} i{dst} <- {v}", "iconst"),
             FConst { dst, v } => write!(f, "{:<12} f{dst} <- {v:?}", "fconst"),
-            IMov { dst, src } => write!(f, "{:<12} i{dst} <- i{src}", "mov"),
-            FMov { dst, src } => write!(f, "{:<12} f{dst} <- f{src}", "mov"),
             AMov { dst, src } => write!(f, "{:<12} a{dst} <- a{src}", "mov"),
-            AddI64 { dst, a, b } => bin3(f, "add.i64", dst, a, b, 'i'),
-            SubI64 { dst, a, b } => bin3(f, "sub.i64", dst, a, b, 'i'),
-            MulI64 { dst, a, b } => bin3(f, "mul.i64", dst, a, b, 'i'),
-            MinI64 { dst, a, b } => bin3(f, "min.i64", dst, a, b, 'i'),
-            MaxI64 { dst, a, b } => bin3(f, "max.i64", dst, a, b, 'i'),
-            NegI64 { dst, a } => write!(f, "{:<12} i{dst} <- i{a}", "neg.i64"),
-            EqI64 { dst, a, b } => bin3(f, "eq.i64", dst, a, b, 'i'),
-            NeqI64 { dst, a, b } => bin3(f, "neq.i64", dst, a, b, 'i'),
-            LtI64 { dst, a, b } => bin3(f, "lt.i64", dst, a, b, 'i'),
-            LeI64 { dst, a, b } => bin3(f, "le.i64", dst, a, b, 'i'),
-            AddF64 { dst, a, b } => bin3(f, "add.f64", dst, a, b, 'f'),
-            SubF64 { dst, a, b } => bin3(f, "sub.f64", dst, a, b, 'f'),
-            MulF64 { dst, a, b } => bin3(f, "mul.f64", dst, a, b, 'f'),
-            DivF64 { dst, a, b } => bin3(f, "div.f64", dst, a, b, 'f'),
-            MinF64 { dst, a, b } => bin3(f, "min.f64", dst, a, b, 'f'),
-            MaxF64 { dst, a, b } => bin3(f, "max.f64", dst, a, b, 'f'),
-            NegF64 { dst, a } => write!(f, "{:<12} f{dst} <- f{a}", "neg.f64"),
-            EqF64 { dst, a, b } => write!(f, "{:<12} i{dst} <- f{a}, f{b}", "eq.f64"),
-            NeqF64 { dst, a, b } => write!(f, "{:<12} i{dst} <- f{a}, f{b}", "neq.f64"),
-            LtF64 { dst, a, b } => write!(f, "{:<12} i{dst} <- f{a}, f{b}", "lt.f64"),
-            LeF64 { dst, a, b } => write!(f, "{:<12} i{dst} <- f{a}, f{b}", "le.f64"),
-            AddF32 { dst, a, b } => bin3(f, "add.f32", dst, a, b, 'f'),
-            SubF32 { dst, a, b } => bin3(f, "sub.f32", dst, a, b, 'f'),
-            MulF32 { dst, a, b } => bin3(f, "mul.f32", dst, a, b, 'f'),
-            DivF32 { dst, a, b } => bin3(f, "div.f32", dst, a, b, 'f'),
-            Not { dst, a } => write!(f, "{:<12} i{dst} <- i{a}", "not"),
+            Op { op, dst, a, b } => {
+                let (d, s) = op.banks();
+                let b = if op.is_unary() { String::new() } else { format!(", {s}{b}") };
+                write!(f, "{:<12} {d}{dst} <- {s}{a}{b}", op.mnemonic())
+            }
             BinGen { op, a, b, dst } => write!(f, "{:<12} {dst} <- {a}, {b}", format!("bin.{op:?}").to_lowercase()),
             UnGen { op, a, dst } => write!(f, "{:<12} {dst} <- {a}", format!("un.{op:?}").to_lowercase()),
             CmpThr { id, factors, dst } => {
@@ -358,7 +414,14 @@ impl fmt::Display for CompiledProgram {
         writeln!(f, "results: {}", locs(&self.results))?;
         for (i, body) in self.funcs.iter().enumerate() {
             let main = if i as FuncId == self.main { " (entry)" } else { "" };
-            writeln!(f, "fn{i}:{main}")?;
+            let class = match &self.steps[i] {
+                None => main.to_string(),
+                Some(Ok(l)) => {
+                    format!(" leaf prefix={} carried={}", l.prefix, l.code.len() - l.prefix)
+                }
+                Some(Err(why)) => format!(" not leaf ({why})"),
+            };
+            writeln!(f, "fn{i}:{class}")?;
             for ins in body {
                 writeln!(f, "  {ins}")?;
             }
@@ -374,8 +437,8 @@ impl fmt::Display for CompiledProgram {
                 CSegKind::Map { body, outs } => {
                     writeln!(f, "  body=fn{body} outs={}", locs(outs))?;
                 }
-                CSegKind::Red { fold, combine, nes, accs, rhs }
-                | CSegKind::Scan { fold, combine, nes, accs, rhs } => {
+                CSegKind::Red(COperator { fold, combine, nes, accs, rhs })
+                | CSegKind::Scan(COperator { fold, combine, nes, accs, rhs }) => {
                     writeln!(
                         f,
                         "  fold=fn{fold} combine=fn{combine} nes={} accs={} rhs={}",

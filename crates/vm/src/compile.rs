@@ -18,12 +18,20 @@ use flat_exec::ExecError;
 use flat_ir::ast::*;
 use flat_ir::types::{Param, ScalarType, Type};
 use flat_ir::VName;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 type Result<T> = std::result::Result<T, ExecError>;
 
 fn err<T>(msg: impl Into<String>) -> Result<T> {
     Err(ExecError(msg.into()))
+}
+
+/// `lam` (`k` accumulator parameters) was due `want` values, not `got`.
+fn lam_arity(lam: &Lambda, k: usize, got: usize, want: usize) -> Result<()> {
+    if got != want {
+        return err(format!("lambda arity {} vs {} arguments", lam.params.len(), k + got));
+    }
+    Ok(())
 }
 
 /// Lower a program to bytecode.
@@ -37,18 +45,193 @@ pub fn compile(prog: &Program) -> Result<CompiledProgram> {
         params.push((l, p.ty.clone(), p.name.to_string()));
     }
     let results = c.compile_body(main, &prog.body)?;
-    Ok(CompiledProgram {
+    let mut compiled = CompiledProgram {
         name: prog.name.clone(),
         params,
         results,
         main,
+        steps: vec![],
         funcs: c.funcs,
         segs: c.segs,
         soacs: c.soacs,
         n_int: c.n_int,
         n_flt: c.n_flt,
         n_arr: c.n_arr,
-    })
+    };
+    coalesce_moves(&mut compiled);
+    compiled.steps = classify_steps(&compiled);
+    Ok(compiled)
+}
+
+/// Fold `op d <- ..; mov e <- d` into `op e <- ..` wherever that `mov` is
+/// the only reader of `d` in the whole program — the shape the lowering
+/// wraps around every lambda result. Registers keep their numbers.
+fn coalesce_moves(p: &mut CompiledProgram) {
+    let mut reads = [vec![0u32; p.n_int as usize], vec![0u32; p.n_flt as usize]];
+    let mut note = |(bank, r): Reg| {
+        if bank != 'a' {
+            reads[(bank == 'f') as usize][r as usize] += 1;
+        }
+    };
+    p.funcs.iter().flatten().for_each(|ins| ins.reads(&mut note));
+    // Everything a side table names is read (or written) by the runtime.
+    let mut opnd = |o: &Operand| {
+        if let Operand::Reg(r) = o {
+            note(('i', *r));
+        }
+    };
+    p.soacs.iter().for_each(|so| opnd(&so.w));
+    p.segs.iter().flat_map(|sg| &sg.ctx).for_each(|d| opnd(&d.width));
+    let soac_locs = p.soacs.iter().flat_map(|so| {
+        so.elems.iter().chain(&so.nes).chain(&so.accs).chain(&so.outs).chain(&so.dsts)
+    });
+    let seg_locs = p.segs.iter().flat_map(|sg| {
+        let of_kind = match &sg.kind {
+            CSegKind::Map { outs, .. } => [&outs[..], &[], &[]],
+            CSegKind::Red(op) | CSegKind::Scan(op) => [&op.nes[..], &op.accs[..], &op.rhs[..]],
+        };
+        let binds = sg.ctx.iter().flat_map(|d| d.binds.iter().map(|b| &b.dst));
+        of_kind.into_iter().flatten().chain(&sg.dsts).chain(binds)
+    });
+    p.results.iter().chain(soac_locs).chain(seg_locs).for_each(|l| note(l.reg()));
+
+    for code in &mut p.funcs {
+        let mut i = 0;
+        while i + 1 < code.len() {
+            let (head, tail) = code.split_at_mut(i + 1);
+            match (head[i].dst_mut(), &tail[0]) {
+                (Some((bank, d)), &Instr::Op { op: op @ (Opc::IMov | Opc::FMov), dst, a, .. })
+                    if a == *d
+                        && bank == op.banks().0
+                        && reads[(bank == 'f') as usize][a as usize] == 1 =>
+                {
+                    *d = dst;
+                    code.remove(i + 1);
+                }
+                _ => i += 1,
+            }
+        }
+    }
+}
+
+/// Record, for every function a per-element loop steps, the leaf it runs
+/// as or why it cannot.
+fn classify_steps(p: &CompiledProgram) -> Vec<Option<std::result::Result<Leaf, String>>> {
+    let mut steps = vec![None; p.funcs.len()];
+    let mut put = |f: FuncId, bound: &[Loc], carried: &[Loc], outs: &[Loc]| {
+        steps[f as usize] = Some(classify(&p.funcs[f as usize], bound, carried, outs));
+    };
+    for so in &p.soacs {
+        put(so.step, &so.elems, &so.accs, &so.outs);
+    }
+    for sg in &p.segs {
+        let inner: Vec<Loc> =
+            sg.ctx.last().map_or(vec![], |d| d.binds.iter().map(|b| b.dst).collect());
+        match &sg.kind {
+            CSegKind::Map { body, outs } => put(*body, &inner, &[], outs),
+            CSegKind::Red(op) => put(op.fold, &inner, &op.accs, &op.accs),
+            // The fixup pass steps `combine` with the block prefix bound
+            // to `accs` afresh at every element: nothing is carried.
+            CSegKind::Scan(op) => {
+                put(op.fold, &inner, &op.accs, &op.accs);
+                put(op.combine, &[&op.accs[..], &op.rhs].concat(), &[], &op.accs);
+            }
+        }
+    }
+    steps
+}
+
+/// Lower a step function to a [`Leaf`], or name the first thing that
+/// keeps it on the per-element path. Every value gets a column of its
+/// own (a register redefined gets a fresh one), so moving the
+/// instructions that do not depend on a carried register ahead of the
+/// ones that do cannot change what any of them reads.
+fn classify(
+    code: &[Instr],
+    bound: &[Loc],
+    carried: &[Loc],
+    outs: &[Loc],
+) -> std::result::Result<Leaf, String> {
+    let mut locs = bound.iter().chain(carried).chain(outs);
+    if let Some(l) = locs.find(|l| l.scalar_type().is_none()) {
+        return Err(format!("array operand {l}"));
+    }
+    let mut leaf = Leaf::default();
+    // Where each register's current value lives, and which columns
+    // depend on a carried register.
+    let mut at: HashMap<Reg, u32> = HashMap::new();
+    let mut tainted: HashSet<Reg> = HashSet::new();
+    let fresh = |n_cols: &mut [u32; 2], r: Reg, at: &mut HashMap<Reg, u32>| {
+        let n = &mut n_cols[(r.0 == 'f') as usize];
+        *n += 1;
+        at.insert(r, *n - 1);
+        *n - 1
+    };
+    leaf.bound = bound.iter().map(|l| fresh(&mut leaf.n_cols, l.reg(), &mut at)).collect();
+    for l in carried {
+        let c = fresh(&mut leaf.n_cols, l.reg(), &mut at);
+        leaf.uniforms.push((l.reg(), c));
+        leaf.carried.push((l.reg(), c, c));
+        tainted.insert((l.reg().0, c));
+    }
+    let is_carried = |r: Reg| carried.iter().any(|l| l.reg() == r);
+    // A register nothing here defined is a host value, the same at
+    // every element.
+    let column = |leaf: &mut Leaf, r: Reg, at: &mut HashMap<Reg, u32>| match at.get(&r) {
+        Some(&c) => c,
+        None => {
+            let c = fresh(&mut leaf.n_cols, r, at);
+            leaf.uniforms.push((r, c));
+            c
+        }
+    };
+    let mut tail = Vec::new();
+    for ins in code {
+        // The register written, the instruction over columns (its own
+        // column still to come), and whether an operand is carried.
+        let (r, mut op, taint) = match *ins {
+            Instr::IConst { dst, .. } => (('i', dst), ins.clone(), false),
+            Instr::FConst { dst, .. } => (('f', dst), ins.clone(), false),
+            Instr::Op { op, dst, a, b } => {
+                let (db, sb) = op.banks();
+                let a = column(&mut leaf, (sb, a), &mut at);
+                let b = column(&mut leaf, (sb, b), &mut at);
+                let taint = tainted.contains(&(sb, a)) || tainted.contains(&(sb, b));
+                ((db, dst), Instr::Op { op, dst, a, b }, taint)
+            }
+            ref other => {
+                return Err(other.to_string().split_whitespace().collect::<Vec<_>>().join(" "))
+            }
+        };
+        if !is_carried(r) && leaf.uniforms.iter().any(|(u, _)| *u == r) {
+            return Err(format!("{}{} is read before it is written", r.0, r.1));
+        }
+        let c = fresh(&mut leaf.n_cols, r, &mut at);
+        if let Some((_, dst)) = op.dst_mut() {
+            *dst = c;
+        }
+        if taint || is_carried(r) {
+            tainted.insert((r.0, c));
+            tail.push(op);
+        } else {
+            leaf.code.push(op);
+        }
+    }
+    leaf.prefix = leaf.code.len();
+    leaf.code.extend(tail);
+    for (r, _, exit) in &mut leaf.carried {
+        *exit = at[r];
+    }
+    leaf.outs = outs.iter().map(|l| column(&mut leaf, l.reg(), &mut at)).collect();
+    if let ([Instr::Op { op, dst, a, b }], [(acc, entry, exit)]) =
+        (&leaf.code[leaf.prefix..], &leaf.carried[..])
+    {
+        let same_bank = op.banks() == (acc.0, acc.0);
+        if same_bank && !op.is_cmp() && dst == exit && (a == entry) != (b == entry) {
+            leaf.fold = Some((*op, if a == entry { *b } else { *a }, a == entry));
+        }
+    }
+    Ok(leaf)
 }
 
 #[derive(Default)]
@@ -117,38 +300,16 @@ impl Compiler {
 
     /// Materialize a constant into a fresh register.
     fn const_loc(&mut self, f: FuncId, c: Const) -> Loc {
-        match c {
-            Const::I64(v) => {
-                let l = self.int_loc(ScalarType::I64);
-                let Loc::Int { r, .. } = l else { unreachable!() };
-                self.emit(f, Instr::IConst { dst: r, v });
-                l
-            }
-            Const::I32(v) => {
-                let l = self.int_loc(ScalarType::I32);
-                let Loc::Int { r, .. } = l else { unreachable!() };
-                self.emit(f, Instr::IConst { dst: r, v: v as i64 });
-                l
-            }
-            Const::Bool(b) => {
-                let l = self.int_loc(ScalarType::Bool);
-                let Loc::Int { r, .. } = l else { unreachable!() };
-                self.emit(f, Instr::IConst { dst: r, v: b as i64 });
-                l
-            }
-            Const::F64(v) => {
-                let l = self.flt_loc(ScalarType::F64);
-                let Loc::Flt { r, .. } = l else { unreachable!() };
-                self.emit(f, Instr::FConst { dst: r, v });
-                l
-            }
-            Const::F32(v) => {
-                let l = self.flt_loc(ScalarType::F32);
-                let Loc::Flt { r, .. } = l else { unreachable!() };
-                self.emit(f, Instr::FConst { dst: r, v: v as f64 });
-                l
-            }
-        }
+        let l = self.loc_for_type(&Type::scalar(c.scalar_type()));
+        let dst = l.reg().1;
+        self.emit(f, match c {
+            Const::I64(v) => Instr::IConst { dst, v },
+            Const::I32(v) => Instr::IConst { dst, v: v as i64 },
+            Const::Bool(b) => Instr::IConst { dst, v: b as i64 },
+            Const::F64(v) => Instr::FConst { dst, v },
+            Const::F32(v) => Instr::FConst { dst, v: v as f64 },
+        });
+        l
     }
 
     fn lookup(&self, v: VName) -> Result<Loc> {
@@ -189,10 +350,10 @@ impl Compiler {
     fn mov(&mut self, f: FuncId, src: Loc, dst: Loc) -> Result<()> {
         match (src, dst) {
             (Loc::Int { r: s, .. }, Loc::Int { r: d, .. }) => {
-                self.emit(f, Instr::IMov { dst: d, src: s })
+                self.emit(f, Instr::Op { op: Opc::IMov, dst: d, a: s, b: s })
             }
             (Loc::Flt { r: s, .. }, Loc::Flt { r: d, .. }) => {
-                self.emit(f, Instr::FMov { dst: d, src: s })
+                self.emit(f, Instr::Op { op: Opc::FMov, dst: d, a: s, b: s })
             }
             (Loc::Arr { r: s }, Loc::Arr { r: d }) => {
                 self.emit(f, Instr::AMov { dst: d, src: s })
@@ -381,226 +542,107 @@ impl Compiler {
 
     // -- scalar operator selection ------------------------------------
 
-    fn compile_unop(&mut self, f: FuncId, op: UnOp, a: Loc, dst: Loc) -> Result<()> {
-        match (op, a, dst) {
-            (UnOp::Neg, Loc::Int { r: ar, st: ScalarType::I64 }, Loc::Int { r: d, .. }) => {
-                self.emit(f, Instr::NegI64 { dst: d, a: ar })
+    /// A monomorphic opcode when the table has one for this operator at
+    /// this type, else the generic fallback `gen`.
+    fn scalar_op(&mut self, f: FuncId, opc: Option<Opc>, a: Loc, b: Loc, dst: Loc, gen: Instr) {
+        match opc {
+            Some(op) if op.banks().0 == dst.reg().0 => {
+                self.emit(f, Instr::Op { op, dst: dst.reg().1, a: a.reg().1, b: b.reg().1 })
             }
-            (UnOp::Neg, Loc::Flt { r: ar, .. }, Loc::Flt { r: d, .. }) => {
-                // Sign flip commutes with f32<->f64 widening, so one
-                // opcode serves both float types.
-                self.emit(f, Instr::NegF64 { dst: d, a: ar })
-            }
-            (UnOp::Not, Loc::Int { r: ar, st: ScalarType::Bool }, Loc::Int { r: d, .. }) => {
-                self.emit(f, Instr::Not { dst: d, a: ar })
-            }
-            (_, Loc::Arr { .. }, _) => return err("unop on an array"),
-            _ => self.emit(f, Instr::UnGen { op, a, dst }),
+            _ => self.emit(f, gen),
         }
+    }
+
+    fn compile_unop(&mut self, f: FuncId, op: UnOp, a: Loc, dst: Loc) -> Result<()> {
+        let Some(st) = a.scalar_type() else { return err("unop on an array") };
+        self.scalar_op(f, Opc::of_unop(op, st), a, a, dst, Instr::UnGen { op, a, dst });
         Ok(())
     }
 
     fn compile_binop(&mut self, f: FuncId, op: BinOp, a: Loc, b: Loc, dst: Loc) -> Result<()> {
-        use BinOp::*;
-        if matches!(a, Loc::Arr { .. }) || matches!(b, Loc::Arr { .. }) {
-            return err("binop on an array");
-        }
-        let ins = match (a, b) {
-            (
-                Loc::Int { r: ar, st: ScalarType::I64 },
-                Loc::Int { r: br, st: ScalarType::I64 },
-            ) => {
-                let d = match dst {
-                    Loc::Int { r, .. } => r,
-                    _ => return err("value type mismatch"),
-                };
-                match op {
-                    Add => Some(Instr::AddI64 { dst: d, a: ar, b: br }),
-                    Sub => Some(Instr::SubI64 { dst: d, a: ar, b: br }),
-                    Mul => Some(Instr::MulI64 { dst: d, a: ar, b: br }),
-                    Min => Some(Instr::MinI64 { dst: d, a: ar, b: br }),
-                    Max => Some(Instr::MaxI64 { dst: d, a: ar, b: br }),
-                    Eq => Some(Instr::EqI64 { dst: d, a: ar, b: br }),
-                    Neq => Some(Instr::NeqI64 { dst: d, a: ar, b: br }),
-                    Lt => Some(Instr::LtI64 { dst: d, a: ar, b: br }),
-                    Le => Some(Instr::LeI64 { dst: d, a: ar, b: br }),
-                    _ => None,
-                }
-            }
-            (
-                Loc::Flt { r: ar, st: ScalarType::F64 },
-                Loc::Flt { r: br, st: ScalarType::F64 },
-            ) => match (op, dst) {
-                (Add, Loc::Flt { r: d, .. }) => Some(Instr::AddF64 { dst: d, a: ar, b: br }),
-                (Sub, Loc::Flt { r: d, .. }) => Some(Instr::SubF64 { dst: d, a: ar, b: br }),
-                (Mul, Loc::Flt { r: d, .. }) => Some(Instr::MulF64 { dst: d, a: ar, b: br }),
-                (Div, Loc::Flt { r: d, .. }) => Some(Instr::DivF64 { dst: d, a: ar, b: br }),
-                (Min, Loc::Flt { r: d, .. }) => Some(Instr::MinF64 { dst: d, a: ar, b: br }),
-                (Max, Loc::Flt { r: d, .. }) => Some(Instr::MaxF64 { dst: d, a: ar, b: br }),
-                (Eq, Loc::Int { r: d, .. }) => Some(Instr::EqF64 { dst: d, a: ar, b: br }),
-                (Neq, Loc::Int { r: d, .. }) => Some(Instr::NeqF64 { dst: d, a: ar, b: br }),
-                (Lt, Loc::Int { r: d, .. }) => Some(Instr::LtF64 { dst: d, a: ar, b: br }),
-                (Le, Loc::Int { r: d, .. }) => Some(Instr::LeF64 { dst: d, a: ar, b: br }),
-                _ => None,
-            },
-            (
-                Loc::Flt { r: ar, st: ScalarType::F32 },
-                Loc::Flt { r: br, st: ScalarType::F32 },
-            ) => match (op, dst) {
-                (Add, Loc::Flt { r: d, .. }) => Some(Instr::AddF32 { dst: d, a: ar, b: br }),
-                (Sub, Loc::Flt { r: d, .. }) => Some(Instr::SubF32 { dst: d, a: ar, b: br }),
-                (Mul, Loc::Flt { r: d, .. }) => Some(Instr::MulF32 { dst: d, a: ar, b: br }),
-                (Div, Loc::Flt { r: d, .. }) => Some(Instr::DivF32 { dst: d, a: ar, b: br }),
-                _ => None,
-            },
+        let opc = match (a.scalar_type(), b.scalar_type()) {
+            (None, _) | (_, None) => return err("binop on an array"),
+            (Some(sa), Some(sb)) if sa == sb => Opc::of_binop(op, sa),
             _ => None,
         };
-        match ins {
-            Some(i) => self.emit(f, i),
-            None => self.emit(f, Instr::BinGen { op, a, b, dst }),
-        }
+        self.scalar_op(f, opc, a, b, dst, Instr::BinGen { op, a, b, dst });
         Ok(())
     }
 
     // -- SOACs ---------------------------------------------------------
 
     fn compile_soac(&mut self, f: FuncId, so: &Soac, pat: &[Param]) -> Result<()> {
-        let arr_inputs = |c: &Self, arrs: &[VName]| -> Result<(Vec<u32>, Vec<String>)> {
-            let mut regs = Vec::with_capacity(arrs.len());
-            let mut names = Vec::with_capacity(arrs.len());
-            for a in arrs {
-                let (r, n) = c.arr_reg(*a)?;
-                regs.push(r);
-                names.push(n);
+        // Every SOAC is an optional map part feeding an optional operator.
+        type Lam<'a> = Option<&'a Lambda>;
+        let (kind, w, arrs, nes, map, red): (_, _, &[VName], &[SubExp], Lam, Lam) = match so {
+            Soac::Map { w, lam, arrs } => (SoacKind::Map, w, arrs, &[], Some(lam), None),
+            Soac::Reduce { w, lam, nes, arrs } => (SoacKind::Reduce, w, arrs, nes, None, Some(lam)),
+            Soac::Scan { w, lam, nes, arrs } => (SoacKind::Scan, w, arrs, nes, None, Some(lam)),
+            Soac::Redomap { w, red, map, nes, arrs } => {
+                (SoacKind::Redomap, w, arrs, nes, Some(map), Some(red))
             }
-            Ok((regs, names))
-        };
-        // Split an operator lambda into accumulator and right-hand
-        // parameters (`k` = number of neutral elements).
-        let split = |lam: &Lambda, k: usize| -> Result<(Vec<Param>, Vec<Param>)> {
-            if lam.params.len() < k {
-                return err(format!("lambda arity {} vs {} arguments", lam.params.len(), k));
-            }
-            Ok((lam.params[..k].to_vec(), lam.params[k..].to_vec()))
-        };
-        let cs = match so {
-            Soac::Map { w, lam, arrs } => {
-                let w = self.op_of_subexp(w)?;
-                let (arrs, arr_names) = arr_inputs(self, arrs)?;
-                let elems = self.lam_params(&lam.params);
-                let step = self.new_func();
-                let outs = self.compile_body(step, &lam.body)?;
-                CompiledSoac {
-                    kind: SoacKind::Map,
-                    w,
-                    arrs,
-                    arr_names,
-                    elems,
-                    nes: vec![],
-                    accs: vec![],
-                    step,
-                    outs,
-                    ret: lam.ret.clone(),
-                    dsts: vec![],
-                }
-            }
-            Soac::Reduce { w, lam, nes, arrs } | Soac::Scan { w, lam, nes, arrs } => {
-                let kind = if matches!(so, Soac::Reduce { .. }) {
-                    SoacKind::Reduce
-                } else {
-                    SoacKind::Scan
-                };
-                let w = self.op_of_subexp(w)?;
-                let (arrs, arr_names) = arr_inputs(self, arrs)?;
-                let (accp, elemp) = split(lam, nes.len())?;
-                let accs = self.lam_params(&accp);
-                let elems = self.lam_params(&elemp);
-                let nes: Vec<Loc> =
-                    nes.iter().map(|ne| self.loc_of_subexp(f, ne)).collect::<Result<_>>()?;
-                let step = self.new_func();
-                let res = self.compile_body(step, &lam.body)?;
-                if res.len() != accs.len() {
-                    return err(format!(
-                        "lambda arity {} vs {} arguments",
-                        lam.params.len(),
-                        accs.len() + res.len()
-                    ));
-                }
-                self.movs_parallel(step, &res, &accs)?;
-                CompiledSoac {
-                    kind,
-                    w,
-                    arrs,
-                    arr_names,
-                    elems,
-                    nes,
-                    accs: accs.clone(),
-                    step,
-                    outs: accs,
-                    ret: lam.ret.clone(),
-                    dsts: vec![],
-                }
-            }
-            Soac::Redomap { w, red, map, nes, arrs }
-            | Soac::Scanomap { w, scan: red, map, nes, arrs } => {
-                let kind = if matches!(so, Soac::Redomap { .. }) {
-                    SoacKind::Redomap
-                } else {
-                    SoacKind::Scanomap
-                };
-                let w = self.op_of_subexp(w)?;
-                let (arrs, arr_names) = arr_inputs(self, arrs)?;
-                let elems = self.lam_params(&map.params);
-                let (accp, rhsp) = split(red, nes.len())?;
-                let accs = self.lam_params(&accp);
-                let rhs = self.lam_params(&rhsp);
-                let nes: Vec<Loc> =
-                    nes.iter().map(|ne| self.loc_of_subexp(f, ne)).collect::<Result<_>>()?;
-                let step = self.new_func();
-                let mres = self.compile_body(step, &map.body)?;
-                if mres.len() != rhs.len() {
-                    return err(format!(
-                        "lambda arity {} vs {} arguments",
-                        red.params.len(),
-                        accs.len() + mres.len()
-                    ));
-                }
-                self.movs(step, &mres, &rhs)?;
-                let rres = self.compile_body(step, &red.body)?;
-                if rres.len() != accs.len() {
-                    return err(format!(
-                        "lambda arity {} vs {} arguments",
-                        red.params.len(),
-                        accs.len() + rres.len()
-                    ));
-                }
-                self.movs_parallel(step, &rres, &accs)?;
-                CompiledSoac {
-                    kind,
-                    w,
-                    arrs,
-                    arr_names,
-                    elems,
-                    nes,
-                    accs: accs.clone(),
-                    step,
-                    outs: accs,
-                    ret: red.ret.clone(),
-                    dsts: vec![],
-                }
+            Soac::Scanomap { w, scan, map, nes, arrs } => {
+                (SoacKind::Scanomap, w, arrs, nes, Some(map), Some(scan))
             }
         };
-        self.arity(cs.outs.len(), pat)?;
-        if cs.arrs.len() != cs.elems.len() {
-            return err(format!(
-                "lambda arity {} vs {} arguments",
-                cs.elems.len(),
-                cs.arrs.len()
-            ));
+        let w = self.op_of_subexp(w)?;
+        let mut arr_names = Vec::with_capacity(arrs.len());
+        let mut arr_regs = Vec::with_capacity(arrs.len());
+        for a in arrs {
+            let (r, n) = self.arr_reg(*a)?;
+            arr_regs.push(r);
+            arr_names.push(n);
         }
+        // Registers in parameter order: the map's elements, then the
+        // operator's accumulators and right-hand sides (which are the
+        // elements when there is no map part).
+        let k = nes.len();
+        let map_elems = map.map(|m| self.lam_params(&m.params));
+        let (accs, rhs) = match red {
+            Some(red) if red.params.len() < k => {
+                return err(format!("lambda arity {} vs {} arguments", red.params.len(), k))
+            }
+            Some(red) => (self.lam_params(&red.params[..k]), self.lam_params(&red.params[k..])),
+            None => (vec![], vec![]),
+        };
+        let nes: Vec<Loc> =
+            nes.iter().map(|ne| self.loc_of_subexp(f, ne)).collect::<Result<_>>()?;
+        let step = self.new_func();
+        let mut outs = match map {
+            Some(map) => self.compile_body(step, &map.body)?,
+            None => vec![],
+        };
+        if let Some(red) = red {
+            if map.is_some() {
+                lam_arity(red, k, outs.len(), rhs.len())?;
+                self.movs(step, &outs, &rhs)?;
+            }
+            let res = self.compile_body(step, &red.body)?;
+            lam_arity(red, k, res.len(), k)?;
+            self.movs_parallel(step, &res, &accs)?;
+            outs = accs.clone();
+        }
+        let elems = map_elems.unwrap_or(rhs);
+        self.arity(outs.len(), pat)?;
+        if arr_regs.len() != elems.len() {
+            return err(format!("lambda arity {} vs {} arguments", elems.len(), arr_regs.len()));
+        }
+        let ret = red.or(map).map_or(vec![], |lam| lam.ret.clone());
         let dsts = self.bind_pat(pat);
         let id = self.soacs.len() as u32;
-        self.soacs.push(CompiledSoac { dsts, ..cs });
+        self.soacs.push(CompiledSoac {
+            kind,
+            w,
+            arrs: arr_regs,
+            arr_names,
+            elems,
+            nes,
+            accs,
+            step,
+            outs,
+            ret,
+            dsts,
+        });
         self.emit(f, Instr::Soac(id));
         Ok(())
     }
@@ -643,39 +685,22 @@ impl Compiler {
                 // results, leaving the new accumulators in `accs`.
                 let fold = self.new_func();
                 let bres = self.compile_body(fold, &op.body)?;
-                if bres.len() != rhs.len() {
-                    return err(format!(
-                        "lambda arity {} vs {} arguments",
-                        lam.params.len(),
-                        k + bres.len()
-                    ));
-                }
+                lam_arity(lam, k, bres.len(), rhs.len())?;
                 self.movs(fold, &bres, &rhs)?;
                 let lres = self.compile_body(fold, &lam.body)?;
-                if lres.len() != accs.len() {
-                    return err(format!(
-                        "lambda arity {} vs {} arguments",
-                        lam.params.len(),
-                        k + lres.len()
-                    ));
-                }
+                lam_arity(lam, k, lres.len(), accs.len())?;
                 self.movs_parallel(fold, &lres, &accs)?;
                 // Combine: the operator alone on accs ++ rhs (a second,
                 // independent compilation of the lambda body).
                 let combine = self.new_func();
                 let cres = self.compile_body(combine, &lam.body)?;
-                if cres.len() != accs.len() {
-                    return err(format!(
-                        "lambda arity {} vs {} arguments",
-                        lam.params.len(),
-                        k + cres.len()
-                    ));
-                }
+                lam_arity(lam, k, cres.len(), accs.len())?;
                 self.movs_parallel(combine, &cres, &accs)?;
+                let operator = COperator { fold, combine, nes, accs, rhs };
                 if matches!(op.kind, SegKind::Red { .. }) {
-                    CSegKind::Red { fold, combine, nes, accs, rhs }
+                    CSegKind::Red(operator)
                 } else {
-                    CSegKind::Scan { fold, combine, nes, accs, rhs }
+                    CSegKind::Scan(operator)
                 }
             }
         };

@@ -26,10 +26,11 @@
 //! See `docs/EXECUTION.md` ("The compiled tier") for the design.
 
 pub mod bytecode;
+mod ops;
 mod compile;
 mod run;
 
-pub use bytecode::{disasm, CompiledProgram, Instr, Loc, Operand};
+pub use bytecode::{disasm, CompiledProgram, Instr, Leaf, Loc, Opc, Operand};
 pub use compile::compile;
 pub use run::{run_compiled, run_program};
 

@@ -11,17 +11,21 @@
 //! The differences are all below the decomposition: a kernel task's
 //! "frame" is a clone of three flat register banks instead of a
 //! name→`Arc<Value>` map, the body is a `match` over monomorphic
-//! opcodes instead of an AST walk, and the sequential combine passes of
+//! opcodes instead of an AST walk, every per-element loop is one
+//! routine ([`Vm::run_range`]) that runs straight-line step functions a
+//! strip of lanes at a time, and the sequential combine passes of
 //! `segred`/`segscan` run directly on the host frame (safe because
 //! registers are never reused, so everything they clobber is dead).
 
 use crate::bytecode::*;
+use crate::ops::{Carry, Cols, OnCols, OnRegs, STRIP};
 use flat_exec::{ExecConfig, ExecError, ExecLaunch, ExecReport, KernelTelem};
 use flat_ir::ast::{Const, Program};
 use flat_ir::interp::{self as interp, Thresholds};
-use flat_ir::types::ScalarType;
+use flat_ir::types::{ScalarType, Type};
 use flat_ir::value::{ArrayVal, Buffer, Value};
 use gpu_sim::CmpRecord;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -73,6 +77,8 @@ pub fn run_compiled(
         t0: Instant::now(),
         telem: telem_on,
         cur_tag: AtomicU64::new(0),
+        leaf_elems: AtomicU64::new(0),
+        scalar_elems: AtomicU64::new(0),
     };
     let mut fr = VmFrame {
         ints: vec![0; prog.n_int as usize],
@@ -100,7 +106,9 @@ pub fn run_compiled(
     eval?;
     let values: Vec<Value> =
         prog.results.iter().map(|&l| vm.read_value(&fr, l)).collect::<Result<_>>()?;
-    if let Some(t) = &pool_telem {
+    let elems = |n: &AtomicU64| n.load(Ordering::Relaxed);
+    let step_elems = telem_on.then(|| (elems(&vm.leaf_elems), elems(&vm.scalar_elems)));
+    if let (Some(t), Some((leaf, scalar))) = (&pool_telem, step_elems) {
         let total = t.total();
         let m = flat_obs::global().metrics();
         m.add("vm.pool.tasks", total.tasks);
@@ -108,6 +116,8 @@ pub fn run_compiled(
         m.add("vm.pool.steal_fails", total.steal_fails);
         m.add("vm.pool.parks", total.parks);
         m.add("vm.pool.busy_ns", total.busy_ns);
+        m.add("vm.leaf_elems", leaf);
+        m.add("vm.scalar_elems", scalar);
         for l in &fr.launches {
             m.observe("vm.kernel_ns", l.nanos as u64);
         }
@@ -121,6 +131,7 @@ pub fn run_compiled(
         grain: cfg.grain.max(1),
         pool: pool_telem,
         spans,
+        step_elems,
     })
 }
 
@@ -163,6 +174,11 @@ pub(crate) struct VmFrame {
     in_kernel: bool,
 }
 
+thread_local! {
+    /// Each worker's leaf-loop scratch, grown on first use and kept.
+    static COLS: std::cell::RefCell<Cols> = std::cell::RefCell::default();
+}
+
 /// A value crossing a task boundary (block partials, scan prefixes):
 /// scalars by value, arrays by reference.
 #[derive(Clone)]
@@ -175,9 +191,15 @@ enum TVal {
 /// and destination register, width-checked at build time. Sound to hold
 /// across body runs because registers are never reused — a body cannot
 /// redefine a segop input array.
-struct DimPlan {
-    binds: Vec<(Arc<ArrayVal>, Loc)>,
-}
+type DimPlan = Vec<(Arc<ArrayVal>, Loc)>;
+
+/// Inputs of a step function that are the same at every element of a
+/// range (the block prefix of a segscan fixup): registers and values.
+type Same<'a> = Option<(&'a [Loc], &'a [TVal])>;
+
+/// A step function's per-element results: where they are read and what
+/// they are appended to.
+type Sink<'a> = Option<(&'a [Loc], &'a mut Option<Vec<VAcc>>)>;
 
 fn read_const(fr: &VmFrame, l: Loc) -> Result<Const> {
     match l {
@@ -224,6 +246,10 @@ pub(crate) struct Vm<'a> {
     /// Tag stamped on the current kernel's pool jobs; allocated by
     /// [`workpool::fresh_tag`], unique across concurrent runs.
     cur_tag: AtomicU64,
+    /// Elements stepped a strip at a time and one at a time (counted
+    /// only with telemetry on).
+    leaf_elems: AtomicU64,
+    scalar_elems: AtomicU64,
 }
 
 /// A per-task result slot, as in `flat-exec`: the task's value plus its
@@ -332,98 +358,16 @@ impl Vm<'_> {
             match ins {
                 Instr::IConst { dst, v } => fr.ints[*dst as usize] = *v,
                 Instr::FConst { dst, v } => fr.flts[*dst as usize] = *v,
-                Instr::IMov { dst, src } => fr.ints[*dst as usize] = fr.ints[*src as usize],
-                Instr::FMov { dst, src } => fr.flts[*dst as usize] = fr.flts[*src as usize],
                 Instr::AMov { dst, src } => {
                     fr.arrs[*dst as usize] = fr.arrs[*src as usize].clone()
                 }
-                Instr::AddI64 { dst, a, b } => {
-                    fr.ints[*dst as usize] =
-                        fr.ints[*a as usize].wrapping_add(fr.ints[*b as usize])
-                }
-                Instr::SubI64 { dst, a, b } => {
-                    fr.ints[*dst as usize] =
-                        fr.ints[*a as usize].wrapping_sub(fr.ints[*b as usize])
-                }
-                Instr::MulI64 { dst, a, b } => {
-                    fr.ints[*dst as usize] =
-                        fr.ints[*a as usize].wrapping_mul(fr.ints[*b as usize])
-                }
-                Instr::MinI64 { dst, a, b } => {
-                    fr.ints[*dst as usize] = fr.ints[*a as usize].min(fr.ints[*b as usize])
-                }
-                Instr::MaxI64 { dst, a, b } => {
-                    fr.ints[*dst as usize] = fr.ints[*a as usize].max(fr.ints[*b as usize])
-                }
-                Instr::NegI64 { dst, a } => {
-                    fr.ints[*dst as usize] = fr.ints[*a as usize].wrapping_neg()
-                }
-                Instr::EqI64 { dst, a, b } => {
-                    fr.ints[*dst as usize] = (fr.ints[*a as usize] == fr.ints[*b as usize]) as i64
-                }
-                Instr::NeqI64 { dst, a, b } => {
-                    fr.ints[*dst as usize] = (fr.ints[*a as usize] != fr.ints[*b as usize]) as i64
-                }
-                Instr::LtI64 { dst, a, b } => {
-                    fr.ints[*dst as usize] = (fr.ints[*a as usize] < fr.ints[*b as usize]) as i64
-                }
-                Instr::LeI64 { dst, a, b } => {
-                    fr.ints[*dst as usize] = (fr.ints[*a as usize] <= fr.ints[*b as usize]) as i64
-                }
-                Instr::AddF64 { dst, a, b } => {
-                    fr.flts[*dst as usize] = fr.flts[*a as usize] + fr.flts[*b as usize]
-                }
-                Instr::SubF64 { dst, a, b } => {
-                    fr.flts[*dst as usize] = fr.flts[*a as usize] - fr.flts[*b as usize]
-                }
-                Instr::MulF64 { dst, a, b } => {
-                    fr.flts[*dst as usize] = fr.flts[*a as usize] * fr.flts[*b as usize]
-                }
-                Instr::DivF64 { dst, a, b } => {
-                    fr.flts[*dst as usize] = fr.flts[*a as usize] / fr.flts[*b as usize]
-                }
-                Instr::MinF64 { dst, a, b } => {
-                    fr.flts[*dst as usize] = fr.flts[*a as usize].min(fr.flts[*b as usize])
-                }
-                Instr::MaxF64 { dst, a, b } => {
-                    fr.flts[*dst as usize] = fr.flts[*a as usize].max(fr.flts[*b as usize])
-                }
-                Instr::NegF64 { dst, a } => fr.flts[*dst as usize] = -fr.flts[*a as usize],
-                Instr::EqF64 { dst, a, b } => {
-                    fr.ints[*dst as usize] = (fr.flts[*a as usize] == fr.flts[*b as usize]) as i64
-                }
-                Instr::NeqF64 { dst, a, b } => {
-                    fr.ints[*dst as usize] = (fr.flts[*a as usize] != fr.flts[*b as usize]) as i64
-                }
-                Instr::LtF64 { dst, a, b } => {
-                    fr.ints[*dst as usize] = (fr.flts[*a as usize] < fr.flts[*b as usize]) as i64
-                }
-                // Le(a, b) = !Lt(b, a), the interpreter's NaN rule —
-                // deliberately NOT `a <= b`, which differs for NaN.
-                #[allow(clippy::neg_cmp_op_on_partial_ord)]
-                Instr::LeF64 { dst, a, b } => {
-                    fr.ints[*dst as usize] =
-                        (!(fr.flts[*b as usize] < fr.flts[*a as usize])) as i64
-                }
-                Instr::AddF32 { dst, a, b } => {
-                    fr.flts[*dst as usize] =
-                        (fr.flts[*a as usize] as f32 + fr.flts[*b as usize] as f32) as f64
-                }
-                Instr::SubF32 { dst, a, b } => {
-                    fr.flts[*dst as usize] =
-                        (fr.flts[*a as usize] as f32 - fr.flts[*b as usize] as f32) as f64
-                }
-                Instr::MulF32 { dst, a, b } => {
-                    fr.flts[*dst as usize] =
-                        (fr.flts[*a as usize] as f32 * fr.flts[*b as usize] as f32) as f64
-                }
-                Instr::DivF32 { dst, a, b } => {
-                    fr.flts[*dst as usize] =
-                        (fr.flts[*a as usize] as f32 / fr.flts[*b as usize] as f32) as f64
-                }
-                Instr::Not { dst, a } => {
-                    fr.ints[*dst as usize] = (fr.ints[*a as usize] == 0) as i64
-                }
+                Instr::Op { op, dst, a, b } => op.apply(OnRegs {
+                    ints: &mut fr.ints,
+                    flts: &mut fr.flts,
+                    dst: *dst,
+                    a: *a,
+                    b: *b,
+                }),
                 Instr::BinGen { op, a, b, dst } => {
                     let x = read_const(fr, *a)?;
                     let y = read_const(fr, *b)?;
@@ -554,8 +498,8 @@ impl Vm<'_> {
     fn run_soac(&self, fr: &mut VmFrame, id: u32) -> Result<()> {
         let so = &self.prog.soacs[id as usize];
         let n = self.read_op(fr, so.w);
-        let mut inputs = Vec::with_capacity(so.arrs.len());
-        for (&r, name) in so.arrs.iter().zip(&so.arr_names) {
+        let mut inputs: DimPlan = Vec::with_capacity(so.arrs.len());
+        for ((&r, name), &dst) in so.arrs.iter().zip(&so.arr_names).zip(&so.elems) {
             let a = self.arr(fr, r)?.clone();
             if a.shape[0] != n {
                 return err(format!(
@@ -563,68 +507,42 @@ impl Vm<'_> {
                     a.shape[0]
                 ));
             }
-            inputs.push(a);
+            inputs.push((a, dst));
         }
-        match so.kind {
-            SoacKind::Map => {
-                let mut out: Option<Vec<VAcc>> = None;
-                for i in 0..n {
-                    self.bind_elems(fr, so, &inputs, i)?;
-                    self.run_func(fr, so.step)?;
-                    self.accumulate_locs(fr, &mut out, &so.outs)?;
-                }
-                self.finish_soac(fr, so, out, n)
-            }
-            SoacKind::Reduce | SoacKind::Redomap => {
-                self.copy_locs(fr, &so.nes, &so.accs)?;
-                for i in 0..n {
-                    self.bind_elems(fr, so, &inputs, i)?;
-                    self.run_func(fr, so.step)?;
-                }
-                self.copy_locs(fr, &so.accs, &so.dsts)
-            }
-            SoacKind::Scan | SoacKind::Scanomap => {
-                self.copy_locs(fr, &so.nes, &so.accs)?;
-                let mut out: Option<Vec<VAcc>> = None;
-                for i in 0..n {
-                    self.bind_elems(fr, so, &inputs, i)?;
-                    self.run_func(fr, so.step)?;
-                    self.accumulate_locs(fr, &mut out, &so.outs)?;
-                }
-                self.finish_soac(fr, so, out, n)
-            }
+        let folds = matches!(so.kind, SoacKind::Reduce | SoacKind::Redomap);
+        if so.kind != SoacKind::Map {
+            self.copy_locs(fr, &so.nes, &so.accs)?;
+        }
+        let mut out: Option<Vec<VAcc>> = None;
+        let sink = (!folds).then_some((&so.outs[..], &mut out));
+        self.run_range(fr, so.step, &inputs, None, 0..n, sink)?;
+        if folds {
+            self.copy_locs(fr, &so.accs, &so.dsts)
+        } else {
+            self.write_results(fr, out, &so.dsts, &so.ret, &[n.max(0)])
         }
     }
 
-    fn bind_elems(
+    /// Write the finished per-point results to `dsts` under the outer
+    /// shape — or, when there were no points, empty arrays of the
+    /// declared element types.
+    fn write_results(
         &self,
         fr: &mut VmFrame,
-        so: &CompiledSoac,
-        inputs: &[Arc<ArrayVal>],
-        i: i64,
-    ) -> Result<()> {
-        for (a, &dst) in inputs.iter().zip(&so.elems) {
-            self.bind_row(fr, a, i, dst)?;
-        }
-        Ok(())
-    }
-
-    fn finish_soac(
-        &self,
-        fr: &mut VmFrame,
-        so: &CompiledSoac,
         out: Option<Vec<VAcc>>,
-        n: i64,
+        dsts: &[Loc],
+        rets: &[Type],
+        outer: &[i64],
     ) -> Result<()> {
         match out {
             Some(accs) => {
-                for (acc, &d) in accs.into_iter().zip(&so.dsts) {
-                    self.write_value(fr, d, acc.finish_shaped(&[n]))?;
+                for (acc, &d) in accs.into_iter().zip(dsts) {
+                    self.write_value(fr, d, acc.finish_shaped(outer))?;
                 }
             }
             None => {
-                for (t, &d) in so.ret.iter().zip(&so.dsts) {
-                    let mut shape = vec![0i64];
+                for (t, &d) in rets.iter().zip(dsts) {
+                    let mut shape = outer.to_vec();
                     shape.extend(std::iter::repeat_n(0, t.rank()));
                     let av = ArrayVal::new(shape, Buffer::with_capacity(t.scalar, 0));
                     self.write_value(fr, d, Value::Array(av))?;
@@ -634,69 +552,150 @@ impl Vm<'_> {
         Ok(())
     }
 
-    /// Bind one outer element of `a` (scalar for rank 1, row view
-    /// otherwise) into `dst`.
-    fn bind_row(&self, fr: &mut VmFrame, a: &ArrayVal, i: i64, dst: Loc) -> Result<()> {
-        if a.rank() == 1 {
-            let i = i as usize;
-            match (&a.data, dst) {
-                (Buffer::I64(v), Loc::Int { r, st: ScalarType::I64 }) => {
-                    fr.ints[r as usize] = v[i]
-                }
-                (Buffer::I32(v), Loc::Int { r, st: ScalarType::I32 }) => {
-                    fr.ints[r as usize] = v[i] as i64
-                }
-                (Buffer::Bool(v), Loc::Int { r, st: ScalarType::Bool }) => {
-                    fr.ints[r as usize] = v[i] as i64
-                }
-                (Buffer::F64(v), Loc::Flt { r, st: ScalarType::F64 }) => {
-                    fr.flts[r as usize] = v[i]
-                }
-                (Buffer::F32(v), Loc::Flt { r, st: ScalarType::F32 }) => {
-                    fr.flts[r as usize] = v[i] as f64
-                }
-                _ => return write_const(fr, dst, a.data.get(i)),
-            }
-            Ok(())
+    /// Bind outer element `i` of an array with element shape `shape`
+    /// (a scalar for rank 1, a row view otherwise) into `dst`.
+    fn bind_row(
+        &self,
+        fr: &mut VmFrame,
+        data: &Buffer,
+        shape: &[i64],
+        i: i64,
+        dst: Loc,
+    ) -> Result<()> {
+        if shape.is_empty() {
+            write_const(fr, dst, data.get(i as usize))
         } else {
             let Loc::Arr { r } = dst else {
                 return err("value type mismatch: array row into scalar register");
             };
-            let row: usize = a.shape[1..].iter().product::<i64>() as usize;
-            let av = ArrayVal::new(a.shape[1..].to_vec(), a.data.slice(i as usize * row, row));
+            let row: usize = shape.iter().product::<i64>() as usize;
+            let av = ArrayVal::new(shape.to_vec(), data.slice(i as usize * row, row));
             fr.arrs[r as usize] = Some(Arc::new(av));
             Ok(())
         }
     }
 
-    // -- segmented operators ------------------------------------------
+    // -- per-element loops --------------------------------------------
 
-    /// Bind the element parameters of the first `ndims` context
-    /// dimensions for the point `idxs`, outermost first.
-    fn bind_ctx(
+    /// Step `step` once per element of `range`, in index order: bind
+    /// element `j` of every array in `rows` (and the `same` values), run
+    /// the function, append its results to the sink. A leaf whose inputs
+    /// are all scalars of their registers' types runs a strip at a time;
+    /// anything else, and anything that can fail, an element at a time.
+    fn run_range(
         &self,
         fr: &mut VmFrame,
-        sg: &CompiledSeg,
-        widths: &[i64],
-        idxs: &[i64],
-        ndims: usize,
+        step: FuncId,
+        rows: &DimPlan,
+        same: Same,
+        range: Range<i64>,
+        mut sink: Sink,
     ) -> Result<()> {
-        for (k, dim) in sg.ctx.iter().take(ndims).enumerate() {
-            for b in &dim.binds {
-                let a = self.arr(fr, b.arr)?.clone();
-                if a.shape[0] != widths[k] {
-                    return err(format!(
-                        "segop context dim {k}: width {} but array {} outer size {}",
-                        widths[k], b.name, a.shape[0]
-                    ));
-                }
-                self.bind_row(fr, &a, idxs[k], b.dst)?;
+        if range.is_empty() {
+            return Ok(());
+        }
+        let is = |dst: &Loc, st: ScalarType| dst.scalar_type() == Some(st);
+        let columns = rows.iter().all(|(a, dst)| a.rank() == 1 && is(dst, a.data.scalar_type()))
+            && same.iter().flat_map(|(locs, vals)| locs.iter().zip(*vals)).all(|(dst, v)| {
+                matches!(v, TVal::S(c) if is(dst, c.scalar_type()))
+            });
+        let class = self.prog.steps[step as usize].as_ref();
+        let leaf = class.and_then(|c| c.as_ref().ok()).filter(|_| columns);
+        if self.telem {
+            let n = if leaf.is_some() { &self.leaf_elems } else { &self.scalar_elems };
+            n.fetch_add((range.end - range.start) as u64, Ordering::Relaxed);
+        }
+        if let Some(leaf) = leaf {
+            let range = range.start as usize..range.end as usize;
+            return self.run_leaf(fr, leaf, rows, same, range, sink);
+        }
+        for j in range {
+            if let Some((locs, vals)) = same {
+                self.write_tvals(fr, locs, vals)?;
+            }
+            self.bind_dim(fr, rows, j)?;
+            self.run_func(fr, step)?;
+            if let Some((locs, out)) = &mut sink {
+                accumulate(out, locs.len(), |k| match locs[k] {
+                    Loc::Arr { r } => Ok(Point::A(self.arr(fr, r)?)),
+                    l => Ok(Point::S(read_const(fr, l)?)),
+                })?;
             }
         }
         Ok(())
     }
 
-    /// Bind the outer (non-innermost) context dimensions for a segment.
+    /// A leaf over a range in strips of at most [`STRIP`] lanes. Per
+    /// strip: inputs are widened from their buffers into columns, the
+    /// carried-independent prefix runs instruction-outer/lane-inner, the
+    /// carried rest runs lane by lane in index order, and the result
+    /// columns are appended to the sink. Every lane performs exactly the
+    /// scalar operations `run_func` would, in the same order along the
+    /// carried chain, and nothing here can fail midway.
+    fn run_leaf(
+        &self,
+        fr: &mut VmFrame,
+        leaf: &Leaf,
+        rows: &DimPlan,
+        same: Same,
+        range: Range<usize>,
+        mut sink: Sink,
+    ) -> Result<()> {
+        let mut cols = COLS.take();
+        cols.ensure(leaf.n_cols);
+        let widest = range.len().min(STRIP);
+        // Bound columns come in bind order: the `same` registers first.
+        let (same_cols, row_cols) = leaf.bound.split_at(same.map_or(0, |(locs, _)| locs.len()));
+        if let Some((locs, vals)) = same {
+            self.write_tvals(fr, locs, vals)?;
+            for (l, &c) in locs.iter().zip(same_cols) {
+                broadcast(&mut cols, fr, l.reg(), c, 0..widest);
+            }
+        }
+        for &(r, c) in &leaf.uniforms {
+            broadcast(&mut cols, fr, r, c, 0..widest);
+        }
+        let (prefix, rest) = leaf.code.split_at(leaf.prefix);
+        for at in range.clone().step_by(STRIP) {
+            let n = (range.end - at).min(STRIP);
+            for ((a, _), &c) in rows.iter().zip(row_cols) {
+                load_col(&mut cols, c, &a.data, at, n);
+            }
+            for op in prefix {
+                run_cols(op, &mut cols, 0..n);
+            }
+            if let Some((op, x, acc_left)) = leaf.fold {
+                let ((_, acc), _, out) = leaf.carried[0];
+                let (ints, flts) = (&mut fr.ints[..], &mut fr.flts[..]);
+                op.apply(Carry { cols: &mut cols, ints, flts, acc, acc_left, x, out, n });
+            } else if !rest.is_empty() {
+                for l in 0..n {
+                    for &(r, entry, _) in &leaf.carried {
+                        broadcast(&mut cols, fr, r, entry, l..l + 1);
+                    }
+                    for op in rest {
+                        run_cols(op, &mut cols, l..l + 1);
+                    }
+                    for &((bank, r), _, exit) in &leaf.carried {
+                        match bank {
+                            'f' => fr.flts[r as usize] = cols.flts[exit as usize][l],
+                            _ => fr.ints[r as usize] = cols.ints[exit as usize][l],
+                        }
+                    }
+                }
+            }
+            if let Some((locs, out)) = &mut sink {
+                push_cols(out, locs, &leaf.outs, &cols, n, range.len())?;
+            }
+        }
+        COLS.set(cols);
+        Ok(())
+    }
+
+    // -- segmented operators ------------------------------------------
+
+    /// Bind the outer (non-innermost) context dimensions for a segment,
+    /// outermost first: dim k's arrays can be the rows dim k-1 binds.
     fn bind_segment(
         &self,
         fr: &mut VmFrame,
@@ -711,55 +710,46 @@ impl Vm<'_> {
             idxs[k] = rem % widths[k];
             rem /= widths[k];
         }
-        self.bind_ctx(fr, sg, widths, &idxs, p - 1)
+        for (k, dim) in sg.ctx.iter().take(p - 1).enumerate() {
+            for b in &dim.binds {
+                let a = self.arr(fr, b.arr)?.clone();
+                if a.shape[0] != widths[k] {
+                    return err(format!(
+                        "segop context dim {k}: width {} but array {} outer size {}",
+                        widths[k], b.name, a.shape[0]
+                    ));
+                }
+                self.bind_row(fr, &a.data, &a.shape[1..], idxs[k], b.dst)?;
+            }
+        }
+        Ok(())
     }
 
     /// Prefetch one context dimension's binds for a task: the source
     /// arrays (`Arc`s held once, not cloned per element) with the width
-    /// check done up front — the same check, against the same width and
-    /// with the same message, the per-element path would repeat.
-    fn dim_plan(&self, fr: &VmFrame, dim: &CDim, k: usize, w: i64) -> Result<DimPlan> {
+    /// check done up front, as `flat-exec` words it. `k` is the dimension,
+    /// or `None` for the innermost one of a fold loop (build that plan
+    /// only when the loop is nonempty: an empty block skips the check).
+    fn dim_plan(&self, fr: &VmFrame, dim: &CDim, k: Option<usize>, w: i64) -> Result<DimPlan> {
         let mut binds = Vec::with_capacity(dim.binds.len());
         for b in &dim.binds {
             let a = self.arr(fr, b.arr)?.clone();
             if a.shape[0] != w {
+                let which = k.map_or("innermost dim".into(), |k| format!("context dim {k}"));
                 return err(format!(
-                    "segop context dim {k}: width {w} but array {} outer size {}",
+                    "segop {which}: width {w} but array {} outer size {}",
                     b.name, a.shape[0]
                 ));
             }
             binds.push((a, b.dst));
         }
-        Ok(DimPlan { binds })
-    }
-
-    /// As [`Vm::dim_plan`] for the innermost dimension, with the fold
-    /// loops' error message. Build it only when the loop is nonempty, so
-    /// an empty block skips the check exactly as the per-element path
-    /// (and `flat-exec`) would.
-    fn inner_plan(&self, fr: &VmFrame, sg: &CompiledSeg, inner_w: i64) -> Result<DimPlan> {
-        let dim = sg
-            .ctx
-            .last()
-            .ok_or_else(|| ExecError("segop with empty context".into()))?;
-        let mut binds = Vec::with_capacity(dim.binds.len());
-        for b in &dim.binds {
-            let a = self.arr(fr, b.arr)?.clone();
-            if a.shape[0] != inner_w {
-                return err(format!(
-                    "segop innermost dim: width {inner_w} but array {} outer size {}",
-                    b.name, a.shape[0]
-                ));
-            }
-            binds.push((a, b.dst));
-        }
-        Ok(DimPlan { binds })
+        Ok(binds)
     }
 
     /// Bind element `i` of every array in a prefetched dimension plan.
     fn bind_dim(&self, fr: &mut VmFrame, plan: &DimPlan, i: i64) -> Result<()> {
-        for (a, dst) in &plan.binds {
-            self.bind_row(fr, a, i, *dst)?;
+        for (a, dst) in plan {
+            self.bind_row(fr, &a.data, &a.shape[1..], i, *dst)?;
         }
         Ok(())
     }
@@ -800,12 +790,8 @@ impl Vm<'_> {
             CSegKind::Map { body, outs } => {
                 self.seg_map(fr, sg, *body, outs, &widths, total)?
             }
-            CSegKind::Red { fold, combine, nes, accs, rhs } => self.seg_red(
-                fr, sg, *fold, *combine, nes, accs, rhs, &widths, segments, inner_w,
-            )?,
-            CSegKind::Scan { fold, combine, nes, accs, rhs } => self.seg_scan(
-                fr, sg, *fold, *combine, nes, accs, rhs, &widths, segments, inner_w, total,
-            )?,
+            CSegKind::Red(op) => self.seg_red(fr, sg, op, &widths, segments, inner_w)?,
+            CSegKind::Scan(op) => self.seg_scan(fr, sg, op, &widths, segments, inner_w)?,
         };
 
         if record {
@@ -837,22 +823,7 @@ impl Vm<'_> {
             });
         }
 
-        match out {
-            None => {
-                for (t, &d) in sg.body_ret.iter().zip(&sg.dsts) {
-                    let mut shape = out_shape.clone();
-                    shape.extend(std::iter::repeat_n(0, t.rank()));
-                    let av = ArrayVal::new(shape, Buffer::with_capacity(t.scalar, 0));
-                    self.write_value(fr, d, Value::Array(av))?;
-                }
-            }
-            Some(accs) => {
-                for (acc, &d) in accs.into_iter().zip(&sg.dsts) {
-                    self.write_value(fr, d, acc.finish_shaped(&out_shape))?;
-                }
-            }
-        }
-        Ok(())
+        self.write_results(fr, out, &sg.dsts, &sg.body_ret, &out_shape)
     }
 
     fn seg_map(
@@ -901,54 +872,125 @@ impl Vm<'_> {
         hi: usize,
     ) -> Result<Vec<VAcc>> {
         let p = widths.len();
-        // Re-bind a dimension only when its coordinate moved — and then
-        // every dimension inside it too, because dim k's source arrays
-        // can be the row views dim k-1 just bound. A dim's prefetched
+        let inner = widths[p - 1] as usize;
+        // One run of the body per stretch of the innermost dimension.
+        // An outer dimension is re-bound only when its coordinate moved —
+        // and then every dimension inside it too, because dim k's source
+        // arrays can be the row views dim k-1 just bound: a prefetched
         // plan is valid exactly as long as every outer dim is unchanged.
-        // Consecutive flat indices share their outer coordinates, so the
-        // expensive outer row copies happen once per row, not once per
-        // element; register contents at body entry are identical.
-        let mut plans: Vec<Option<DimPlan>> = (0..p).map(|_| None).collect();
-        let mut idxs = vec![0i64; p];
-        let mut prev = vec![-1i64; p];
+        // So the expensive outer row copies happen once per row, not
+        // once per element; register contents at body entry are
+        // identical.
+        let mut plans: Vec<Option<DimPlan>> = (0..p - 1).map(|_| None).collect();
+        let mut idxs = vec![0i64; p - 1];
+        let mut prev = vec![-1i64; p - 1];
         let mut out: Option<Vec<VAcc>> = None;
-        for flat in lo..hi {
-            let mut rem = flat as i64;
-            for k in (0..p).rev() {
+        let mut flat = lo;
+        while flat < hi {
+            let mut rem = (flat / inner) as i64;
+            for k in (0..p - 1).rev() {
                 idxs[k] = rem % widths[k];
                 rem /= widths[k];
             }
-            let k0 = (0..p).find(|&k| idxs[k] != prev[k]).unwrap_or(p);
-            for k in k0..p {
+            let k0 = (0..p - 1).find(|&k| idxs[k] != prev[k]).unwrap_or(p - 1);
+            for k in k0..p - 1 {
                 if k > k0 {
                     plans[k] = None;
                 }
                 let plan = match &plans[k] {
                     Some(pl) => pl,
                     None => {
-                        plans[k] = Some(self.dim_plan(fr, &sg.ctx[k], k, widths[k])?);
+                        plans[k] = Some(self.dim_plan(fr, &sg.ctx[k], Some(k), widths[k])?);
                         plans[k].as_ref().expect("plan just built")
                     }
                 };
                 self.bind_dim(fr, plan, idxs[k])?;
                 prev[k] = idxs[k];
             }
-            self.run_func(fr, body)?;
-            self.accumulate_locs(fr, &mut out, outs)?;
+            let j = flat % inner;
+            let run = (inner - j).min(hi - flat);
+            let plan = self.dim_plan(fr, &sg.ctx[p - 1], Some(p - 1), widths[p - 1])?;
+            let sink = Some((outs, &mut out));
+            self.run_range(fr, body, &plan, None, j as i64..(j + run) as i64, sink)?;
+            flat += run;
         }
         out.ok_or_else(|| ExecError("empty segmap chunk".into()))
     }
 
+    /// The parallel pass `segred` and `segscan` share: each (segment,
+    /// block) task binds its segment, starts from the neutral elements
+    /// and folds its block, leaving the running total — and, for a scan,
+    /// every running value. Results come back in task order.
     #[allow(clippy::too_many_arguments)]
+    fn fold_blocks(
+        &self,
+        fr: &mut VmFrame,
+        sg: &CompiledSeg,
+        op: &COperator,
+        widths: &[i64],
+        inner_w: i64,
+        tasks: usize,
+        blocks: usize,
+        scan: bool,
+    ) -> Result<Vec<(Vec<VAcc>, Vec<TVal>)>> {
+        let grain = self.grain as i64;
+        let inner = sg.ctx.last().ok_or_else(|| ExecError("segop with empty context".into()))?;
+        let slots: Vec<TaskSlot<_>> = (0..tasks).map(|_| Mutex::new(None)).collect();
+        let host: &VmFrame = fr;
+        let tag = self.cur_tag.load(Ordering::Relaxed);
+        self.pool.run_tagged(tasks, tag, &|t| {
+            let seg = (t / blocks) as i64;
+            let b = (t % blocks) as i64;
+            let mut sub = self.task_frame(host);
+            let r = (|| {
+                self.bind_segment(&mut sub, sg, widths, seg)?;
+                // Neutral elements read after the segment context is
+                // bound, as in flat-exec (they may reference it).
+                self.copy_locs(&mut sub, &op.nes, &op.accs)?;
+                let mut local: Option<Vec<VAcc>> = None;
+                let (jlo, jhi) = (b * grain, (b * grain + grain).min(inner_w));
+                if jlo < jhi {
+                    let plan = self.dim_plan(&sub, inner, None, inner_w)?;
+                    let sink = scan.then_some((&op.accs[..], &mut local));
+                    self.run_range(&mut sub, op.fold, &plan, None, jlo..jhi, sink)?;
+                }
+                if scan && local.is_none() {
+                    return err("empty segscan block");
+                }
+                Ok((local.unwrap_or_default(), self.read_tvals(&sub, &op.accs)?))
+            })();
+            *slots[t].lock().unwrap() = Some(r.map(|s| (s, sub.path)));
+        });
+        let mut folded = Vec::with_capacity(tasks);
+        for slot in slots {
+            let (s, path) = take_slot(slot)?;
+            fr.path.extend(path);
+            folded.push(s);
+        }
+        Ok(folded)
+    }
+
+    /// `acc <- combine(acc, b)` on `fr`, which must be in the segment's
+    /// context.
+    fn combine(
+        &self,
+        fr: &mut VmFrame,
+        op: &COperator,
+        acc: &mut Vec<TVal>,
+        b: &[TVal],
+    ) -> Result<()> {
+        self.write_tvals(fr, &op.accs, acc)?;
+        self.write_tvals(fr, &op.rhs, b)?;
+        self.run_func(fr, op.combine)?;
+        *acc = self.read_tvals(fr, &op.accs)?;
+        Ok(())
+    }
+
     fn seg_red(
         &self,
         fr: &mut VmFrame,
         sg: &CompiledSeg,
-        fold: FuncId,
-        combine: FuncId,
-        nes: &[Loc],
-        accs: &[Loc],
-        rhs: &[Loc],
+        op: &COperator,
         widths: &[i64],
         segments: i64,
         inner_w: i64,
@@ -960,36 +1002,7 @@ impl Vm<'_> {
         let grain = self.grain as i64;
         let blocks = (((inner_w + grain - 1) / grain).max(1)) as usize;
         let tasks = segments * blocks;
-        let slots: Vec<TaskSlot<Vec<TVal>>> = (0..tasks).map(|_| Mutex::new(None)).collect();
-        let host: &VmFrame = fr;
-        let tag = self.cur_tag.load(Ordering::Relaxed);
-        self.pool.run_tagged(tasks, tag, &|t| {
-            let seg = (t / blocks) as i64;
-            let b = (t % blocks) as i64;
-            let mut sub = self.task_frame(host);
-            let r = (|| {
-                self.bind_segment(&mut sub, sg, widths, seg)?;
-                // Neutral elements read after the segment context is
-                // bound, as in flat-exec (they may reference it).
-                self.copy_locs(&mut sub, nes, accs)?;
-                let (jlo, jhi) = (b * grain, (b * grain + grain).min(inner_w));
-                if jlo < jhi {
-                    let plan = self.inner_plan(&sub, sg, inner_w)?;
-                    for j in jlo..jhi {
-                        self.bind_dim(&mut sub, &plan, j)?;
-                        self.run_func(&mut sub, fold)?;
-                    }
-                }
-                self.read_tvals(&sub, accs)
-            })();
-            *slots[t].lock().unwrap() = Some(r.map(|acc| (acc, sub.path)));
-        });
-        let mut partials: Vec<Vec<TVal>> = Vec::with_capacity(tasks);
-        for slot in slots {
-            let (acc, path) = take_slot(slot)?;
-            fr.path.extend(path);
-            partials.push(acc);
-        }
+        let partials = self.fold_blocks(fr, sg, op, widths, inner_w, tasks, blocks, false)?;
         // Combine block partials left-to-right within each segment, in
         // the segment's context. Runs on the host frame in kernel mode:
         // every register it writes is dead afterwards (no reuse), and
@@ -998,22 +1011,21 @@ impl Vm<'_> {
         fr.in_kernel = true;
         let res = (|| {
             let mut out: Option<Vec<VAcc>> = None;
-            let mut partials = partials.into_iter();
+            let mut partials = partials.into_iter().map(|(_, acc)| acc);
+            let mut next =
+                || partials.next().ok_or_else(|| ExecError("one partial per block missing".into()));
             for seg in 0..segments {
                 self.bind_segment(fr, sg, widths, seg as i64)?;
-                let mut acc = partials
-                    .next()
-                    .ok_or_else(|| ExecError("one partial per block missing".into()))?;
+                let mut acc = next()?;
                 for _ in 1..blocks {
-                    let nxt = partials
-                        .next()
-                        .ok_or_else(|| ExecError("one partial per block missing".into()))?;
-                    self.write_tvals(fr, accs, &acc)?;
-                    self.write_tvals(fr, rhs, &nxt)?;
-                    self.run_func(fr, combine)?;
-                    acc = self.read_tvals(fr, accs)?;
+                    self.combine(fr, op, &mut acc, &next()?)?;
                 }
-                accumulate_tvals(&mut out, &acc)?;
+                accumulate(&mut out, acc.len(), |k| {
+                    Ok(match &acc[k] {
+                        TVal::S(c) => Point::S(*c),
+                        TVal::A(a) => Point::A(a),
+                    })
+                })?;
             }
             Ok((out, tasks))
         })();
@@ -1021,22 +1033,16 @@ impl Vm<'_> {
         res
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn seg_scan(
         &self,
         fr: &mut VmFrame,
         sg: &CompiledSeg,
-        fold: FuncId,
-        combine: FuncId,
-        nes: &[Loc],
-        accs: &[Loc],
-        rhs: &[Loc],
+        op: &COperator,
         widths: &[i64],
         segments: i64,
         inner_w: i64,
-        total: i64,
     ) -> Result<(Option<Vec<VAcc>>, usize)> {
-        if total <= 0 {
+        if segments <= 0 || inner_w <= 0 {
             return Ok((None, 0));
         }
         let segments = segments as usize;
@@ -1046,98 +1052,62 @@ impl Vm<'_> {
 
         // Pass 1: per-block local scans, recording the scanned elements
         // and the running total.
-        type Scanned = (Vec<VAcc>, Vec<TVal>);
-        let slots: Vec<TaskSlot<Scanned>> = (0..tasks).map(|_| Mutex::new(None)).collect();
-        let host: &VmFrame = fr;
-        let tag = self.cur_tag.load(Ordering::Relaxed);
-        self.pool.run_tagged(tasks, tag, &|t| {
-            let seg = (t / blocks) as i64;
-            let b = (t % blocks) as i64;
-            let mut sub = self.task_frame(host);
-            let r = (|| {
-                self.bind_segment(&mut sub, sg, widths, seg)?;
-                self.copy_locs(&mut sub, nes, accs)?;
-                let mut local: Option<Vec<VAcc>> = None;
-                let (jlo, jhi) = (b * grain, (b * grain + grain).min(inner_w));
-                if jlo < jhi {
-                    let plan = self.inner_plan(&sub, sg, inner_w)?;
-                    for j in jlo..jhi {
-                        self.bind_dim(&mut sub, &plan, j)?;
-                        self.run_func(&mut sub, fold)?;
-                        self.accumulate_locs(&sub, &mut local, accs)?;
-                    }
-                }
-                let local = local.ok_or_else(|| ExecError("empty segscan block".into()))?;
-                let acc = self.read_tvals(&sub, accs)?;
-                Ok((local, acc))
-            })();
-            *slots[t].lock().unwrap() = Some(r.map(|s| (s, sub.path)));
-        });
-        let mut pass1: Vec<Scanned> = Vec::with_capacity(tasks);
-        for slot in slots {
-            let (s, path) = take_slot(slot)?;
-            fr.path.extend(path);
-            pass1.push(s);
+        let pass1 = self.fold_blocks(fr, sg, op, widths, inner_w, tasks, blocks, true)?;
+        // With one block per segment nothing has a prefix: the local
+        // scans are the result.
+        let mut out: Option<Vec<VAcc>> = None;
+        if blocks == 1 {
+            for (local, _) in pass1 {
+                merge_vaccs(&mut out, local)?;
+            }
+            return Ok((out, tasks));
         }
 
         // Pass 2: sequential prefix over block totals per segment, on
         // the host frame in kernel mode (registers dead afterwards).
         let mut prefixes: Vec<Option<Vec<TVal>>> = vec![None; tasks];
-        if blocks > 1 {
-            let saved = fr.in_kernel;
-            fr.in_kernel = true;
-            let res: Result<()> = (|| {
-                for seg in 0..segments {
-                    self.bind_segment(fr, sg, widths, seg as i64)?;
-                    let mut running: Vec<TVal> = pass1[seg * blocks].1.clone();
-                    for b in 1..blocks {
-                        prefixes[seg * blocks + b] = Some(running.clone());
-                        if b + 1 < blocks {
-                            self.write_tvals(fr, accs, &running)?;
-                            self.write_tvals(fr, rhs, &pass1[seg * blocks + b].1)?;
-                            self.run_func(fr, combine)?;
-                            running = self.read_tvals(fr, accs)?;
-                        }
+        let saved = fr.in_kernel;
+        fr.in_kernel = true;
+        let res: Result<()> = (|| {
+            for seg in 0..segments {
+                self.bind_segment(fr, sg, widths, seg as i64)?;
+                let mut running: Vec<TVal> = pass1[seg * blocks].1.clone();
+                for b in 1..blocks {
+                    prefixes[seg * blocks + b] = Some(running.clone());
+                    if b + 1 < blocks {
+                        self.combine(fr, op, &mut running, &pass1[seg * blocks + b].1)?;
                     }
                 }
-                Ok(())
-            })();
-            fr.in_kernel = saved;
-            res?;
-        }
+            }
+            Ok(())
+        })();
+        fr.in_kernel = saved;
+        res?;
 
         // Pass 3: parallel fixup — combine the prefix into every element
         // of the later blocks.
         let fixed: Vec<TaskSlot<Vec<VAcc>>> = (0..tasks).map(|_| Mutex::new(None)).collect();
-        let pass1_ref = &pass1;
-        let prefixes_ref = &prefixes;
+        let (pass1, prefixes) = (&pass1, &prefixes);
         let host: &VmFrame = fr;
+        let tag = self.cur_tag.load(Ordering::Relaxed);
         self.pool.run_tagged(tasks, tag, &|t| {
-            let seg = (t / blocks) as i64;
             let mut sub = self.task_frame(host);
             let r = (|| {
-                let (locals, _) = &pass1_ref[t];
-                match &prefixes_ref[t] {
-                    None => Ok(locals.iter().map(VAcc::clone).collect()),
-                    Some(prefix) => {
-                        self.bind_segment(&mut sub, sg, widths, seg)?;
-                        let count = locals.first().map(|a| a.count).unwrap_or(0);
-                        let mut out: Option<Vec<VAcc>> = None;
-                        for i in 0..count {
-                            self.write_tvals(&mut sub, accs, prefix)?;
-                            for (local, &rl) in locals.iter().zip(rhs) {
-                                self.write_value(&mut sub, rl, local.elem_at(i))?;
-                            }
-                            self.run_func(&mut sub, combine)?;
-                            self.accumulate_locs(&sub, &mut out, accs)?;
-                        }
-                        out.ok_or_else(|| ExecError("empty segscan fixup".into()))
-                    }
-                }
+                let (locals, _) = &pass1[t];
+                let Some(prefix) = &prefixes[t] else { return Ok(locals.clone()) };
+                self.bind_segment(&mut sub, sg, widths, (t / blocks) as i64)?;
+                let count = locals.first().map(|a| a.count).unwrap_or(0) as i64;
+                let rows: DimPlan = (locals.iter().zip(&op.rhs))
+                    .map(|(local, &dst)| (Arc::new(local.to_array()), dst))
+                    .collect();
+                let same = Some((&op.accs[..], &prefix[..]));
+                let mut out: Option<Vec<VAcc>> = None;
+                let sink = Some((&op.accs[..], &mut out));
+                self.run_range(&mut sub, op.combine, &rows, same, 0..count, sink)?;
+                out.ok_or_else(|| ExecError("empty segscan fixup".into()))
             })();
             *fixed[t].lock().unwrap() = Some(r.map(|accs| (accs, sub.path)));
         });
-        let mut out: Option<Vec<VAcc>> = None;
         for slot in fixed {
             let (accs, path) = take_slot(slot)?;
             fr.path.extend(path);
@@ -1145,83 +1115,79 @@ impl Vm<'_> {
         }
         Ok((out, tasks))
     }
+}
 
-    /// Append one point's results (read straight from their registers)
-    /// onto the accumulators — `flat-exec`'s `accumulate` without the
-    /// intermediate `Value`s.
-    fn accumulate_locs(
-        &self,
-        fr: &VmFrame,
-        out: &mut Option<Vec<VAcc>>,
-        locs: &[Loc],
-    ) -> Result<()> {
-        match out {
-            None => {
-                let mut accs = Vec::with_capacity(locs.len());
-                for &l in locs {
-                    accs.push(match l {
-                        Loc::Arr { r } => {
-                            let a = self.arr(fr, r)?;
-                            let mut data =
-                                Buffer::with_capacity(a.data.scalar_type(), a.data.len());
-                            data.extend_range(&a.data, 0, a.data.len());
-                            VAcc { elem_shape: a.shape.clone(), data, count: 1 }
-                        }
-                        _ => {
-                            let c = read_const(fr, l)?;
-                            let mut data = Buffer::with_capacity(c.scalar_type(), 16);
-                            data.push(c);
-                            VAcc { elem_shape: vec![], data, count: 1 }
-                        }
-                    });
-                }
-                *out = Some(accs);
-                Ok(())
-            }
-            Some(accs) => {
-                if accs.len() != locs.len() {
-                    return err("result arity changed across iterations");
-                }
-                for (acc, &l) in accs.iter_mut().zip(locs) {
-                    match l {
-                        Loc::Arr { r } => {
-                            let a = self.arr(fr, r)?;
-                            if a.shape != acc.elem_shape {
-                                return err(format!(
-                                    "irregular parallelism: element shape {:?} vs {:?}",
-                                    a.shape, acc.elem_shape
-                                ));
-                            }
-                            acc.data.extend_range(&a.data, 0, a.data.len());
-                        }
-                        // Monomorphic pushes for the hot scalar cases;
-                        // the fallback reconstructs a Const.
-                        Loc::Int { r, st: ScalarType::I64 } => {
-                            let Buffer::I64(v) = &mut acc.data else {
-                                return err("result type changed across iterations");
-                            };
-                            v.push(fr.ints[r as usize]);
-                        }
-                        Loc::Flt { r, st: ScalarType::F64 } => {
-                            let Buffer::F64(v) = &mut acc.data else {
-                                return err("result type changed across iterations");
-                            };
-                            v.push(fr.flts[r as usize]);
-                        }
-                        Loc::Flt { r, st: ScalarType::F32 } => {
-                            let Buffer::F32(v) = &mut acc.data else {
-                                return err("result type changed across iterations");
-                            };
-                            v.push(fr.flts[r as usize] as f32);
-                        }
-                        _ => acc.data.push(read_const(fr, l)?),
-                    }
-                    acc.count += 1;
-                }
-                Ok(())
-            }
+/// Fill a range of lanes of column `c` with a frame register's value.
+fn broadcast(cols: &mut Cols, fr: &VmFrame, (bank, r): Reg, c: u32, lanes: Range<usize>) {
+    match bank {
+        'f' => cols.flts[c as usize][lanes].fill(fr.flts[r as usize]),
+        _ => cols.ints[c as usize][lanes].fill(fr.ints[r as usize]),
+    }
+}
+
+/// Widen `n` elements of a typed buffer, from `at`, into column `c` of
+/// the bank its registers live in.
+fn load_col(cols: &mut Cols, c: u32, data: &Buffer, at: usize, n: usize) {
+    fn widen<S: Copy, T>(col: &mut [T], src: &[S], f: impl Fn(S) -> T) {
+        for (o, &x) in col.iter_mut().zip(src) {
+            *o = f(x);
         }
     }
+    let (ints, flts) = (&mut cols.ints, &mut cols.flts);
+    match data {
+        Buffer::I64(v) => ints[c as usize][..n].copy_from_slice(&v[at..at + n]),
+        Buffer::I32(v) => widen(&mut ints[c as usize][..n], &v[at..at + n], |x| x as i64),
+        Buffer::Bool(v) => widen(&mut ints[c as usize][..n], &v[at..at + n], |x| x as i64),
+        Buffer::F64(v) => flts[c as usize][..n].copy_from_slice(&v[at..at + n]),
+        Buffer::F32(v) => widen(&mut flts[c as usize][..n], &v[at..at + n], |x| x as f64),
+    }
+}
+
+/// One instruction of a leaf on a range of lanes (`classify` admits
+/// nothing but these three).
+fn run_cols(op: &Instr, cols: &mut Cols, lanes: Range<usize>) {
+    match *op {
+        Instr::IConst { dst, v } => cols.ints[dst as usize][lanes].fill(v),
+        Instr::FConst { dst, v } => cols.flts[dst as usize][lanes].fill(v),
+        Instr::Op { op, dst, a, b } => op.apply(OnCols { cols, dst, a, b, lanes }),
+        _ => unreachable!("not a leaf instruction: {op}"),
+    }
+}
+
+/// Append `n` lanes of each result column to the sink, narrowed to the
+/// result's type — what `accumulate_locs` does one element at a time.
+/// `room` sizes a sink created here.
+fn push_cols(
+    out: &mut Option<Vec<VAcc>>,
+    locs: &[Loc],
+    from: &[u32],
+    cols: &Cols,
+    n: usize,
+    room: usize,
+) -> Result<()> {
+    let accs = out.get_or_insert_with(|| {
+        let new = |l: &Loc| VAcc {
+            elem_shape: vec![],
+            data: Buffer::with_capacity(l.scalar_type().unwrap_or(ScalarType::I64), room),
+            count: 0,
+        };
+        locs.iter().map(new).collect()
+    });
+    for ((acc, l), &c) in accs.iter_mut().zip(locs).zip(from) {
+        if !acc.elem_shape.is_empty() || Some(acc.data.scalar_type()) != l.scalar_type() {
+            return err("result type changed across iterations");
+        }
+        let c = c as usize;
+        match &mut acc.data {
+            Buffer::I64(v) => v.extend_from_slice(&cols.ints[c][..n]),
+            Buffer::I32(v) => v.extend(cols.ints[c][..n].iter().map(|&x| x as i32)),
+            Buffer::Bool(v) => v.extend(cols.ints[c][..n].iter().map(|&x| x != 0)),
+            Buffer::F64(v) => v.extend_from_slice(&cols.flts[c][..n]),
+            Buffer::F32(v) => v.extend(cols.flts[c][..n].iter().map(|&x| x as f32)),
+        }
+        acc.count += n;
+    }
+    Ok(())
 }
 
 /// The VM's clone of `flat-exec`'s `ResultAcc`: per-result flat buffers
@@ -1234,6 +1200,13 @@ pub(crate) struct VAcc {
 }
 
 impl VAcc {
+    /// The accumulated points as one array, outermost dimension first.
+    fn to_array(&self) -> ArrayVal {
+        let mut shape = vec![self.count as i64];
+        shape.extend(&self.elem_shape);
+        ArrayVal::new(shape, self.data.clone())
+    }
+
     fn finish_shaped(self, outer: &[i64]) -> Value {
         if outer.is_empty() && self.elem_shape.is_empty() {
             return Value::Scalar(self.data.get(0));
@@ -1242,64 +1215,55 @@ impl VAcc {
         shape.extend(&self.elem_shape);
         Value::Array(ArrayVal::new(shape, self.data))
     }
-
-    fn elem_at(&self, i: usize) -> Value {
-        if self.elem_shape.is_empty() {
-            Value::Scalar(self.data.get(i))
-        } else {
-            let len = self.elem_shape.iter().product::<i64>() as usize;
-            Value::Array(ArrayVal::new(self.elem_shape.clone(), self.data.slice(i * len, len)))
-        }
-    }
 }
 
-fn accumulate_tvals(out: &mut Option<Vec<VAcc>>, vals: &[TVal]) -> Result<()> {
-    match out {
-        None => {
-            *out = Some(
-                vals.iter()
-                    .map(|v| match v {
-                        TVal::S(c) => {
-                            let mut data = Buffer::with_capacity(c.scalar_type(), 16);
-                            data.push(*c);
-                            VAcc { elem_shape: vec![], data, count: 1 }
-                        }
-                        TVal::A(a) => {
-                            let mut data =
-                                Buffer::with_capacity(a.data.scalar_type(), a.data.len());
-                            data.extend_range(&a.data, 0, a.data.len());
-                            VAcc { elem_shape: a.shape.clone(), data, count: 1 }
-                        }
-                    })
-                    .collect(),
-            );
-            Ok(())
-        }
-        Some(accs) => {
-            if accs.len() != vals.len() {
-                return err("result arity changed across iterations");
-            }
-            for (acc, v) in accs.iter_mut().zip(vals) {
-                match v {
-                    TVal::S(c) => {
-                        acc.data.push(*c);
-                        acc.count += 1;
-                    }
-                    TVal::A(a) => {
-                        if a.shape != acc.elem_shape {
-                            return err(format!(
-                                "irregular parallelism: element shape {:?} vs {:?}",
-                                a.shape, acc.elem_shape
-                            ));
-                        }
-                        acc.data.extend_range(&a.data, 0, a.data.len());
-                        acc.count += 1;
-                    }
+/// One result of one point on its way into a [`VAcc`].
+enum Point<'a> {
+    S(Const),
+    A(&'a ArrayVal),
+}
+
+/// Append one point's `n` results onto the accumulators — `flat-exec`'s
+/// `accumulate`, reading each result where it lies.
+fn accumulate<'a>(
+    out: &mut Option<Vec<VAcc>>,
+    n: usize,
+    mut point: impl FnMut(usize) -> Result<Point<'a>>,
+) -> Result<()> {
+    let Some(accs) = out else {
+        let first = |k| {
+            Ok(match point(k)? {
+                Point::S(c) => {
+                    let mut data = Buffer::with_capacity(c.scalar_type(), 16);
+                    data.push(c);
+                    VAcc { elem_shape: vec![], data, count: 1 }
                 }
-            }
-            Ok(())
-        }
+                Point::A(a) => VAcc { elem_shape: a.shape.clone(), data: a.data.clone(), count: 1 },
+            })
+        };
+        *out = Some((0..n).map(first).collect::<Result<_>>()?);
+        return Ok(());
+    };
+    if accs.len() != n {
+        return err("result arity changed across iterations");
     }
+    for (k, acc) in accs.iter_mut().enumerate() {
+        match point(k)? {
+            Point::S(c) if c.scalar_type() == acc.data.scalar_type() => acc.data.push(c),
+            Point::S(_) => return err("result type changed across iterations"),
+            Point::A(a) if a.shape == acc.elem_shape => {
+                acc.data.extend_range(&a.data, 0, a.data.len())
+            }
+            Point::A(a) => {
+                return err(format!(
+                    "irregular parallelism: element shape {:?} vs {:?}",
+                    a.shape, acc.elem_shape
+                ))
+            }
+        }
+        acc.count += 1;
+    }
+    Ok(())
 }
 
 fn merge_vaccs(out: &mut Option<Vec<VAcc>>, accs: Vec<VAcc>) -> Result<()> {

@@ -32,8 +32,18 @@ fn flatc(args: &[&str]) -> (bool, String, String) {
     )
 }
 
+/// A temp path no other test (in this binary or a concurrent run of it)
+/// uses: tests run on parallel threads, so a name built from the pid
+/// alone is shared between them.
+fn unique_temp(stem: &str) -> std::path::PathBuf {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    std::env::temp_dir().join(format!("{stem}-{}-{n}", std::process::id()))
+}
+
 fn with_source(f: impl FnOnce(&str)) {
-    let dir = std::env::temp_dir().join(format!("flatc-test-{}", std::process::id()));
+    let dir = unique_temp("flatc-test");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("mm.fut");
     std::fs::write(&path, MATMUL).unwrap();
@@ -95,7 +105,7 @@ fn simulate_reports_runtime_and_path() {
 #[test]
 fn tune_writes_and_simulate_reads_tuning_files() {
     with_source(|src| {
-        let tuning = std::env::temp_dir().join(format!("flatc-{}.tuning", std::process::id()));
+        let tuning = unique_temp("flatc-tuning");
         let tuning_s = tuning.to_str().unwrap();
         let (ok, stdout, _) = flatc(&[
             "tune", src, "matmul", "--exhaustive", "--out", tuning_s,
@@ -172,8 +182,7 @@ fn exec_runs_and_live_dispatch_follows_thresholds() {
 #[test]
 fn exec_tune_measures_wall_clock_and_writes_usable_tuning() {
     with_source(|src| {
-        let tuning =
-            std::env::temp_dir().join(format!("flatc-exec-{}.tuning", std::process::id()));
+        let tuning = unique_temp("flatc-exec-tuning");
         let tuning_s = tuning.to_str().unwrap();
         let (ok, stdout, stderr) = flatc(&[
             "tune", src, "matmul", "--backend", "exec", "--threads", "2",
@@ -204,7 +213,7 @@ fn bench_refuses_cross_backend_comparison() {
     assert!(!ok);
     assert!(stderr.contains("unknown --backend"), "{stderr}");
 
-    let base = std::env::temp_dir().join(format!("flatc-base-{}.json", std::process::id()));
+    let base = unique_temp("flatc-base");
     let base_s = base.to_str().unwrap();
     let (ok, stdout, stderr) = flatc(&[
         "bench", "--backend", "exec", "--threads", "2", "--reps", "1",
@@ -249,7 +258,7 @@ fn lint_is_clean_on_healthy_programs_and_compile_verify_passes() {
 /// so here we pin the first two plus the usage code).
 #[test]
 fn parse_and_type_failures_have_distinct_exit_codes() {
-    let dir = std::env::temp_dir().join(format!("flatc-exit-{}", std::process::id()));
+    let dir = unique_temp("flatc-exit");
     std::fs::create_dir_all(&dir).unwrap();
     let parse_p = dir.join("parse.fut");
     let type_p = dir.join("type.fut");

@@ -206,6 +206,42 @@ fn telemetry_does_not_perturb_results() {
     }
 }
 
+/// The VM reports how many elements its step functions ran a strip at a
+/// time and how many one at a time — only with telemetry on, and with
+/// the same results either way.
+#[test]
+fn vm_step_counters_say_which_path_ran_and_do_not_perturb_results() {
+    let _guard = POOL_LOCK.lock().unwrap();
+    let fl = flatten(SUMROWS, "sumrows");
+    let args = sumrows_args();
+    let counter = |name| obs::global().metrics().counter(name).get();
+    // Default thresholds take the fully flat version: one segred whose
+    // fold is a leaf. Forcing the outermost guard takes the segmap whose
+    // body (a SOAC over a row) is not, around a reduce that is.
+    let outer = fl.thresholds.ids().next().expect("sumrows has thresholds");
+    for (force_outer, want) in [(false, (64 * 32, 0)), (true, (64 * 32, 64))] {
+        for threads in THREAD_COUNTS {
+            let mut c = cfg(threads);
+            if force_outer {
+                c.thresholds.set(outer, 1);
+            }
+            let (leaf0, scalar0) = (counter("vm.leaf_elems"), counter("vm.scalar_elems"));
+            let on = vm::run_program(&fl.prog, &args, &c).unwrap();
+            assert_eq!(on.step_elems, Some(want), "threads={threads} outer={force_outer}");
+            assert_eq!(counter("vm.leaf_elems") - leaf0, want.0);
+            assert_eq!(counter("vm.scalar_elems") - scalar0, want.1);
+            assert!(exec::render_exec_report(&on).contains("vm steps:"));
+
+            c.telemetry = false;
+            let off = vm::run_program(&fl.prog, &args, &c).unwrap();
+            assert_eq!(off.step_elems, None);
+            assert_eq!(off.values, on.values, "telemetry changed the vm's results");
+            assert_eq!(off.signature(), on.signature());
+            assert_eq!(counter("vm.leaf_elems") - leaf0, want.0, "counted with telemetry off");
+        }
+    }
+}
+
 #[test]
 fn sample_log_round_trips_through_the_autotune_loader() {
     let _guard = POOL_LOCK.lock().unwrap();

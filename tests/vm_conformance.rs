@@ -15,6 +15,12 @@
 //! Two disassembly goldens pin the bytecode lowering: register
 //! assignment, monomorphic opcode selection, and the compiled segop
 //! structure for a `segmap` and a `segred`.
+//!
+//! The `leaf_*` tests aim at the range-at-a-time path (`flat-vm` runs a
+//! straight-line step function a strip of lanes at a time): widths
+//! around the strip and grain boundaries, every column type, special
+//! float values, multi-accumulator operators, and the fallbacks that
+//! must stay on the per-element path with today's errors.
 
 use incremental_flattening::prelude::*;
 
@@ -38,7 +44,9 @@ fn cfg(threads: usize, grain: usize) -> ExecConfig {
 
 fn buffers_approx(a: &Buffer, b: &Buffer) -> bool {
     fn close(x: f64, y: f64) -> bool {
-        (x - y).abs() <= 1e-4 * x.abs().max(y.abs()).max(1.0)
+        x == y
+            || (x.is_nan() && y.is_nan())
+            || (x - y).abs() <= 1e-4 * x.abs().max(y.abs()).max(1.0)
     }
     match (a, b) {
         (Buffer::F32(x), Buffer::F32(y)) => {
@@ -66,6 +74,36 @@ fn values_approx(a: &[Value], b: &[Value]) -> bool {
             }
             _ => x == y,
         })
+}
+
+/// Shapes and raw bit patterns: `==` on values cannot tell `-0.0` from
+/// `0.0` and calls a NaN unequal to itself. NaNs are all mapped to one
+/// pattern: which operand's payload (and sign) a float instruction
+/// propagates is not something Rust fixes for `a + b`.
+fn bits(vals: &[Value]) -> Vec<(Vec<i64>, Vec<u64>)> {
+    fn of(b: &Buffer) -> Vec<u64> {
+        match b {
+            Buffer::I32(v) => v.iter().map(|&x| x as u64).collect(),
+            Buffer::I64(v) => v.iter().map(|&x| x as u64).collect(),
+            Buffer::F32(v) => {
+                v.iter().map(|x| if x.is_nan() { u64::MAX } else { x.to_bits() as u64 }).collect()
+            }
+            Buffer::F64(v) => {
+                v.iter().map(|x| if x.is_nan() { u64::MAX } else { x.to_bits() }).collect()
+            }
+            Buffer::Bool(v) => v.iter().map(|&x| x as u64).collect(),
+        }
+    }
+    vals.iter()
+        .map(|v| match v {
+            Value::Array(a) => (a.shape.clone(), of(&a.data)),
+            Value::Scalar(c) => {
+                let mut b = Buffer::with_capacity(c.scalar_type(), 1);
+                b.push(*c);
+                (vec![], of(&b))
+            }
+        })
+        .collect()
 }
 
 fn has_floats(vals: &[Value]) -> bool {
@@ -99,7 +137,8 @@ fn check_conformance(name: &str, fl: &compiler::Flattened, args: &[Value]) {
             // with the executor — results, floats included, and the
             // live-dispatched threshold path.
             assert_eq!(
-                vrep.values, erep.values,
+                bits(&vrep.values),
+                bits(&erep.values),
                 "{name}: grain {grain}, {threads} threads: vm diverges from exec"
             );
             assert_eq!(
@@ -119,7 +158,8 @@ fn check_conformance(name: &str, fl: &compiler::Flattened, args: &[Value]) {
                 None => first_vm = Some(vrep),
                 Some(first) => {
                     assert_eq!(
-                        vrep.values, first.values,
+                        bits(&vrep.values),
+                        bits(&first.values),
                         "{name}: grain {grain}: vm at {threads} threads diverges from 1 thread"
                     );
                     assert_eq!(
@@ -134,10 +174,11 @@ fn check_conformance(name: &str, fl: &compiler::Flattened, args: &[Value]) {
         // Interpreter agreement, per the executor.rs envelope.
         let got = &first_vm.expect("at least one thread count").values;
         if exact {
-            assert_eq!(got, &reference, "{name}: grain {grain}: vm != interpreter");
+            assert_eq!(bits(got), bits(&reference), "{name}: grain {grain}: vm != interpreter");
         } else if grain == exec::DEFAULT_GRAIN {
             assert_eq!(
-                got, &reference,
+                bits(got),
+                bits(&reference),
                 "{name}: single-block float vm run should be bitwise equal to the interpreter"
             );
         } else {
@@ -302,6 +343,182 @@ fn out_of_bounds_index_is_a_structured_error_on_both_backends() {
         .contains("out of bounds"));
 }
 
+fn flatten(src: &str) -> compiler::Flattened {
+    compiler::flatten_incremental(&lang::compile(src, "main").unwrap()).unwrap()
+}
+
+/// How many step functions of the flattened program lowered to leaves,
+/// and how many stayed on the per-element path.
+fn leaf_census(fl: &compiler::Flattened) -> (usize, usize) {
+    let compiled = vm::compile(&fl.prog).unwrap();
+    let steps: Vec<_> = compiled.steps.iter().flatten().collect();
+    let leaves = steps.iter().filter(|s| s.is_ok()).count();
+    (leaves, steps.len() - leaves)
+}
+
+fn f32_vec(xs: &[f32]) -> Value {
+    Value::array_from(vec![xs.len() as i64], Buffer::F32(xs.to_vec()))
+}
+
+/// `n` finite f32s with some spread, exactly representable.
+fn f32_ramp(n: i64, seed: i64) -> Value {
+    f32_vec(&(0..n).map(|i| ((i * 37 + seed * 11) % 101 - 50) as f32 * 0.25).collect::<Vec<_>>())
+}
+
+/// Widths on both sides of every boundary the strip loop has: empty, a
+/// single lane, the strip (= default grain) ± 1, and the small grain ± 1.
+#[test]
+fn leaf_loops_conform_at_strip_and_grain_boundaries() {
+    let map = flatten("def main [n] (xs: [n]i64) (c: i64) =\n  map (\\x -> x * c + 1) xs\n");
+    let red = flatten("def main [n] (xs: [n]f32) =\n  reduce (+) 0f32 xs\n");
+    let scan = flatten("def main [n] (xs: [n]f32) =\n  scan max 0f32 xs\n");
+    let rows = flatten("def main [n][m] (xss: [n][m]f32) =\n  map (\\r -> scan (+) 0f32 r) xss\n");
+    // map body; fold; fold + fixup combine.
+    assert_eq!(leaf_census(&map), (1, 0));
+    assert_eq!(leaf_census(&red), (1, 0));
+    assert_eq!(leaf_census(&scan), (2, 0));
+    for w in [0i64, 1, 3, 4, 5, 255, 256, 257, 600] {
+        let n = Value::i64_(w);
+        let xs = Value::i64_vec((0..w).map(|i| i * 3 - 7).collect());
+        check_conformance(&format!("leaf map w={w}"), &map, &[n.clone(), xs, Value::i64_(5)]);
+        check_conformance(&format!("leaf reduce w={w}"), &red, &[n.clone(), f32_ramp(w, 1)]);
+        check_conformance(&format!("leaf scan w={w}"), &scan, &[n.clone(), f32_ramp(w, 2)]);
+        let cube = Value::array_from(
+            vec![3, w],
+            Buffer::F32((0..3 * w).map(|i| (i % 17 - 8) as f32 * 0.5).collect()),
+        );
+        check_conformance(&format!("leaf row scans w={w}"), &rows, &[Value::i64_(3), n, cube]);
+    }
+}
+
+/// NaN, both zeros, both infinities and subnormals through the f32
+/// opcodes a leaf may hold — as map columns, as fold operators and as
+/// scan operators. Compared on bit patterns.
+#[test]
+fn leaf_loops_conform_on_special_floats() {
+    let sub = f32::from_bits(1);
+    let specials = [
+        f32::NAN, 0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, sub, -sub, 1.5, -2.25,
+        f32::MIN_POSITIVE, f32::MAX,
+    ];
+    // Every ordered pair, so each opcode sees each value on each side.
+    let k = specials.len();
+    let xs: Vec<f32> = (0..k * k).map(|i| specials[i / k]).collect();
+    let ys: Vec<f32> = (0..k * k).map(|i| specials[i % k]).collect();
+    let n = Value::i64_((k * k) as i64);
+
+    let pairs = flatten(
+        "def main [n] (xs: [n]f32) (ys: [n]f32) =\n  \
+         map (\\x y -> (min x y, max x y, x <= y, x < y, x == y, x + y, x * y)) xs ys\n",
+    );
+    assert_eq!(leaf_census(&pairs), (1, 0));
+    check_conformance("specials/map", &pairs, &[n.clone(), f32_vec(&xs), f32_vec(&ys)]);
+
+    for (name, op, ne) in [("min", "min", "1000000f32"), ("max", "max", "0f32"), ("add", "(+)", "0f32")] {
+        for soac in ["reduce", "scan"] {
+            let fl = flatten(&format!("def main [n] (xs: [n]f32) =\n  {soac} {op} {ne} xs\n"));
+            assert_eq!(leaf_census(&fl).1, 0, "{soac} {name} fell off the leaf path");
+            // Without the infinities too, so the sums stay finite.
+            let finite: Vec<f32> = ys.iter().copied().filter(|y| y.is_finite() || y.is_nan()).collect();
+            for data in [&ys, &finite] {
+                let args = [Value::i64_(data.len() as i64), f32_vec(data)];
+                check_conformance(&format!("specials/{soac} {name}"), &fl, &args);
+            }
+        }
+    }
+}
+
+/// i32 and bool element columns, a result that is an input column
+/// untouched, and a uniform host register beside them.
+#[test]
+fn leaf_loops_conform_on_int_and_bool_columns() {
+    let fl = flatten(
+        "def main [n] (bs: [n]bool) (is: [n]i32) (xs: [n]f32) (c: f32) =\n  \
+         map (\\b i x -> (!b, i, x <= c)) bs is xs\n",
+    );
+    assert_eq!(leaf_census(&fl), (1, 0));
+    for w in [0i64, 7, 300] {
+        let args = [
+            Value::i64_(w),
+            Value::array_from(vec![w], Buffer::Bool((0..w).map(|i| i % 3 == 0).collect())),
+            Value::array_from(vec![w], Buffer::I32((0..w).map(|i| (i * 7 - 100) as i32).collect())),
+            f32_ramp(w, 3),
+            Value::Scalar(ir::Const::F32(0.5)),
+        ];
+        check_conformance(&format!("int/bool columns w={w}"), &fl, &args);
+    }
+}
+
+/// Operators over tuples carry several accumulators: the carried part
+/// is more than one instruction and runs lane by lane. Also a redomap
+/// whose map part feeds both accumulators and reads a host scalar.
+#[test]
+fn leaf_loops_conform_on_multi_accumulator_operators() {
+    let red = flatten(
+        "def main [n] (xs: [n]f32) (ys: [n]f32) =\n  \
+         reduce (\\a1 a2 b1 b2 -> (a1 + b1, max a2 b2)) (0f32, 0f32) xs ys\n",
+    );
+    let scan = flatten(
+        "def main [n] (xs: [n]f32) (ys: [n]f32) =\n  \
+         scan (\\a1 a2 b1 b2 -> (min a1 b1, a2 + b2)) (1000f32, 0f32) xs ys\n",
+    );
+    let redomap = flatten(
+        "def main [n] (xs: [n]f32) (c: f32) =\n  \
+         redomap (\\a1 a2 b1 b2 -> (a1 + b1, max a2 b2)) \
+         (\\x -> let y = x * c in (y, y + 1f32)) (0f32, 0f32) xs\n",
+    );
+    assert_eq!(leaf_census(&red), (1, 0));
+    assert_eq!(leaf_census(&scan), (2, 0));
+    assert_eq!(leaf_census(&redomap), (1, 0));
+    for w in [0i64, 1, 5, 256, 257, 700] {
+        let n = Value::i64_(w);
+        let two = [n.clone(), f32_ramp(w, 4), f32_ramp(w, 5)];
+        check_conformance(&format!("tuple reduce w={w}"), &red, &two);
+        check_conformance(&format!("tuple scan w={w}"), &scan, &two);
+        let args = [n, f32_ramp(w, 6), Value::Scalar(ir::Const::F32(1.25))];
+        check_conformance(&format!("two-accumulator redomap w={w}"), &redomap, &args);
+    }
+}
+
+/// Step functions that can fail or branch stay on the per-element path:
+/// same results, and the error is the first failing element's, with
+/// `flat-exec`'s text, at every thread count and grain.
+#[test]
+fn non_leaf_steps_keep_the_per_element_path_and_its_errors() {
+    let ifs = flatten("def main [n] (xs: [n]i64) =\n  map (\\x -> if x < 0 then 0 - x else x) xs\n");
+    let nested = flatten("def main [n][m] (xss: [n][m]i64) =\n  map (\\r -> reduce (+) 0 r) xss\n");
+    let divs = flatten(
+        "def main [n] (xs: [n]i64) (ds: [n]i64) (es: [n]i64) =\n  \
+         map (\\x d e -> x / d + x % e) xs ds es\n",
+    );
+    assert_eq!(leaf_census(&ifs), (0, 1));
+    assert_eq!(leaf_census(&divs), (0, 1));
+    assert!(leaf_census(&nested).1 >= 1, "a body holding a SOAC is not a leaf");
+
+    let w = 300i64;
+    let xs = Value::i64_vec((0..w).map(|i| i * 5 - 700).collect());
+    check_conformance("fallback/if", &ifs, &[Value::i64_(w), xs.clone()]);
+    let rows = Value::array_from(vec![3, w], Buffer::I64((0..3 * w).collect()));
+    check_conformance("fallback/inner soac", &nested, &[Value::i64_(3), Value::i64_(w), rows]);
+
+    let ones = |zero_at: i64| Value::i64_vec((0..w).map(|i| (i != zero_at) as i64).collect());
+    let no_zero = ones(-1);
+    let args = [Value::i64_(w), xs.clone(), no_zero.clone(), no_zero];
+    check_conformance("fallback/division", &divs, &args);
+    // The earlier element decides the message, whichever chunk it is in.
+    for (div_at, rem_at, want) in [(6, 1, "remainder by zero"), (2, 290, "division by zero")] {
+        let args = [Value::i64_(w), xs.clone(), ones(div_at), ones(rem_at)];
+        for grain in [exec::DEFAULT_GRAIN, SMALL_GRAIN] {
+            for threads in THREAD_COUNTS {
+                let e = exec::run_program(&divs.prog, &args, &cfg(threads, grain)).unwrap_err();
+                let v = vm::run_program(&divs.prog, &args, &cfg(threads, grain)).unwrap_err();
+                assert_eq!(v.0, e.0, "grain {grain}, {threads} threads");
+                assert!(v.0.contains(want), "grain {grain}, {threads} threads: {}", v.0);
+            }
+        }
+    }
+}
+
 /// Bytecode goldens: the lowering of a one-level `map` (a `segmap` with
 /// a monomorphic i64 body) and a `reduce` (a `segred` with fold and
 /// combine functions over accumulator registers) is pinned exactly —
@@ -320,7 +537,7 @@ params: i0:i64^0, a0^1, i1:i64^0
 results: [a1]
 fn0: (entry)
   seg          g0
-fn1:
+fn1: leaf prefix=3 carried=0
   mul.i64      i3 <- i2, i1
   iconst       i5 <- 1
   add.i64      i4 <- i3, i5
@@ -342,15 +559,11 @@ results: [i9:i64]
 fn0: (entry)
   iconst       i4 <- 0
   seg          g0
-fn1:
+fn1: leaf prefix=1 carried=1
   mov          i3 <- i1
-  add.i64      i5 <- i2, i3
-  mov          i6 <- i5
-  mov          i2 <- i6
+  add.i64      i2 <- i2, i3
 fn2:
-  add.i64      i7 <- i2, i3
-  mov          i8 <- i7
-  mov          i2 <- i8
+  add.i64      i2 <- i2, i3
 g0: segred level=1
   dim 0: width=i0 binds=[i1:i64 <- a0[.]]
   fold=fn1 combine=fn2 nes=[i4:i64] accs=[i2:i64] rhs=[i3:i64]
