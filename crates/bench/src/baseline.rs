@@ -251,66 +251,45 @@ pub fn measure_suite(dev: &gpu_sim::DeviceSpec) -> Baseline {
     Baseline { entries, ..Baseline::default() }.stamped()
 }
 
+/// How one program is timed on the host: `flat_exec::measure`,
+/// `flat_vm::measure`, or anything with their shape.
+pub type HostMeasure = fn(
+    &flat_ir::Program,
+    &[flat_ir::value::Value],
+    &flat_exec::ExecConfig,
+    usize,
+    usize,
+) -> Result<(flat_exec::ExecReport, flat_exec::Measurement), flat_exec::ExecError>;
+
 /// Measure the whole suite by *real execution* on host threads, timing
 /// each benchmark's small semantics-testing arguments (the Table 1
-/// datasets are sized for simulated GPUs, not a tree-walking CPU
-/// executor). Keys use the `"{bench}/test/host"` form and entries carry
-/// backend `"exec"`, so `compare` can refuse to diff them against
-/// simulated baselines.
-pub fn measure_suite_exec(threads: Option<usize>, reps: usize, warmup: usize) -> Baseline {
+/// datasets are sized for simulated GPUs, not a CPU executor) with
+/// `measure`. Keys use the `"{bench}/test/host"` form and entries carry
+/// `backend` (`"exec"`, `"vm"`), so `compare` can refuse to diff them
+/// against simulated baselines or each other.
+pub fn measure_suite_host(
+    backend: &str,
+    measure: HostMeasure,
+    threads: Option<usize>,
+    reps: usize,
+    warmup: usize,
+) -> Baseline {
     use rand::SeedableRng as _;
-    let t = flat_ir::interp::Thresholds::new();
     let cfg = incflat::FlattenConfig::incremental();
+    let exec_cfg = flat_exec::ExecConfig { threads, ..flat_exec::ExecConfig::default() };
     let mut entries = Vec::new();
     for b in benchmarks::all_benchmarks() {
         let fl = b.flatten(&cfg);
         let mut rng = rand::rngs::StdRng::seed_from_u64(0xF1A7);
         let args = (b.test_args)(&mut rng);
-        let exec_cfg = flat_exec::ExecConfig {
-            thresholds: t.clone(),
-            threads,
-            ..flat_exec::ExecConfig::default()
-        };
-        let (rep, m) = flat_exec::measure(&fl.prog, &args, &exec_cfg, reps, warmup)
+        let (rep, m) = measure(&fl.prog, &args, &exec_cfg, reps, warmup)
             .unwrap_or_else(|e| panic!("{}: {e}", b.name));
         entries.push(BaselineEntry {
             key: format!("{}/test/host", b.name),
             cycles: m.median_nanos,
             microseconds: m.median_nanos / 1_000.0,
             kernels: rep.launches.len() as u64,
-            backend: "exec".to_string(),
-            stats: Some(RunStats::of_measurement(&m)),
-        });
-    }
-    Baseline { entries, ..Baseline::default() }.stamped()
-}
-
-/// As [`measure_suite_exec`], but timing the bytecode VM
-/// (`flat_vm::measure`, which compiles each program once outside the
-/// timed region). Entries carry backend `"vm"` so `compare` refuses to
-/// diff them against `exec` or `sim` baselines.
-pub fn measure_suite_vm(threads: Option<usize>, reps: usize, warmup: usize) -> Baseline {
-    use rand::SeedableRng as _;
-    let t = flat_ir::interp::Thresholds::new();
-    let cfg = incflat::FlattenConfig::incremental();
-    let mut entries = Vec::new();
-    for b in benchmarks::all_benchmarks() {
-        let fl = b.flatten(&cfg);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(0xF1A7);
-        let args = (b.test_args)(&mut rng);
-        let exec_cfg = flat_exec::ExecConfig {
-            thresholds: t.clone(),
-            threads,
-            ..flat_exec::ExecConfig::default()
-        };
-        let (rep, m) = flat_vm::measure(&fl.prog, &args, &exec_cfg, reps, warmup)
-            .unwrap_or_else(|e| panic!("{}: {e}", b.name));
-        entries.push(BaselineEntry {
-            key: format!("{}/test/host", b.name),
-            cycles: m.median_nanos,
-            microseconds: m.median_nanos / 1_000.0,
-            kernels: rep.launches.len() as u64,
-            backend: "vm".to_string(),
+            backend: backend.to_string(),
             stats: Some(RunStats::of_measurement(&m)),
         });
     }
@@ -572,7 +551,7 @@ mod tests {
 
     #[test]
     fn exec_suite_measurement_has_exec_backend() {
-        let b = measure_suite_exec(Some(2), 2, 0);
+        let b = measure_suite_host("exec", flat_exec::measure, Some(2), 2, 0);
         assert!(!b.entries.is_empty());
         assert!(b.entries.iter().all(|e| e.backend == "exec"));
         assert!(b.entries.iter().all(|e| e.cycles > 0.0));

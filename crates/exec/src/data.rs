@@ -7,7 +7,7 @@
 //! are drawn from a small range so sums stay far from overflow, floats
 //! from `[-1, 1)`.
 
-use crate::exec::ExecError;
+use crate::decomp::ExecError;
 use flat_ir::ast::Const;
 use flat_ir::value::{ArrayVal, Buffer, Value};
 use flat_ir::ScalarType;

@@ -9,38 +9,42 @@
 //!   evaluates exactly as in [`flat_ir::interp`], over the same
 //!   [`flat_ir::value::Value`] representation.
 //! * `segmap`/`segred`/`segscan` execute as data-parallel kernels on a
-//!   vendored work-stealing pool (`workpool`): grain-size chunking for
-//!   `segmap`, per-block partial accumulators combined left-to-right for
-//!   `segred`, and a two-pass (block-scan + propagate) `segscan`. The
-//!   decomposition depends only on the grain size — never on the thread
-//!   count — so results are bit-identical under `FLAT_EXEC_THREADS=1`,
-//!   `4`, or `8`.
+//!   vendored work-stealing pool (`workpool`) through the one kernel
+//!   decomposition, [`decomp`]: the split into tasks, the pool dispatch,
+//!   the three joins (concatenate, the operator, prefix-propagate), the
+//!   launch records and the telemetry live there once, generic over a
+//!   [`decomp::Tier`] that evaluates a range of points. This crate's
+//!   tree-walker (`exec.rs`) and `flat-vm`'s bytecode loop are two such
+//!   bodies. The decomposition depends only on the grain size — never on
+//!   the thread count — so results are bit-identical under
+//!   `FLAT_EXEC_THREADS=1`, `4`, or `8`, and across the two tiers.
 //! * Threshold guards (`Par(...) >= t_i`) are evaluated *live* against
 //!   the actual degree of parallelism, using a [`Thresholds`] assignment
 //!   (e.g. loaded from a `.tuning` file); the taken path is recorded
 //!   with the same [`gpu_sim::path_signature`] the simulator emits.
-//! * [`measure`] provides median-of-k wall-clock timing, which
-//!   `autotune` uses as a measured cost function (`flatc tune --backend
-//!   exec`).
+//! * [`measure_with`] provides median-of-k wall-clock timing of any
+//!   run closure, which `autotune` uses as a measured cost function
+//!   (`flatc tune --backend exec`).
 //!
 //! See `docs/EXECUTION.md` for the architecture and the determinism
 //! guarantees.
 
 mod data;
+pub mod decomp;
 mod exec;
 mod measure;
 pub mod obs;
 
 pub use data::materialize;
-pub use exec::{run_program, ExecConfig, ExecError, ExecLaunch, ExecReport, DEFAULT_GRAIN};
-pub use measure::{measure, Measurement};
+pub use decomp::{ExecConfig, ExecError, ExecLaunch, ExecReport, DEFAULT_GRAIN};
+pub use exec::run_program;
+pub use measure::{measure, measure_with, Measurement};
 pub use obs::{
-    append_sample_log, render_exec_report, sample_log_lines, shape_class, task_size_histogram,
+    append_sample_log, render_exec_report, sample_log_lines, shape_class,
     telemetry_requested_by_env, worker_trace_events, KernelTelem,
 };
 pub use workpool::default_threads;
 
-use flat_ir::interp::Thresholds;
 use gpu_sim::{CostReport, DeviceSpec, KernelCost, KernelLaunch, SimReport};
 use incflat::ThresholdRegistry;
 
@@ -133,20 +137,4 @@ pub fn path_in_tree(reg: &ThresholdRegistry, sig: &[(u32, bool)]) -> bool {
                 .all(|&(pid, pt)| sig.iter().any(|&(sid, st)| sid == pid.0 && st == pt)),
         }
     })
-}
-
-/// Run a program under live dispatch and also under every forced path,
-/// used by tests. Returns the live report.
-pub fn run_live(
-    prog: &flat_ir::Program,
-    args: &[flat_ir::value::Value],
-    thresholds: &Thresholds,
-    threads: Option<usize>,
-) -> Result<ExecReport, ExecError> {
-    let cfg = ExecConfig {
-        thresholds: thresholds.clone(),
-        threads,
-        ..ExecConfig::default()
-    };
-    run_program(prog, args, &cfg)
 }

@@ -4,7 +4,8 @@
 //! runs absorb one-time costs (page faults, allocator growth) so the
 //! autotuner compares steady-state times.
 
-use crate::exec::{run_program, ExecConfig, ExecError, ExecReport};
+use crate::decomp::{ExecConfig, ExecError, ExecReport};
+use crate::exec::run_program;
 use flat_ir::ast::Program;
 use flat_ir::value::Value;
 
@@ -54,9 +55,29 @@ impl Measurement {
     }
 }
 
-/// Run `prog` `warmup` untimed times, then `reps` timed times (at least
+/// Call `run` `warmup` untimed times, then `reps` timed times (at least
 /// one), returning the last run's report and the timing summary.
 /// Results are deterministic, so repetitions differ only in timing.
+/// Every wall-clock measurement in the repo goes through here; what a
+/// "run" is — which tier, compiled when — is the caller's closure.
+pub fn measure_with(
+    mut run: impl FnMut() -> Result<ExecReport, ExecError>,
+    reps: usize,
+    warmup: usize,
+) -> Result<(ExecReport, Measurement), ExecError> {
+    for _ in 0..warmup {
+        run()?;
+    }
+    let mut last = run()?;
+    let mut runs = vec![last.wall_nanos];
+    for _ in 1..reps {
+        last = run()?;
+        runs.push(last.wall_nanos);
+    }
+    Ok((last, Measurement::from_runs(runs)))
+}
+
+/// [`measure_with`] over the tree-walking tier.
 pub fn measure(
     prog: &Program,
     args: &[Value],
@@ -65,18 +86,7 @@ pub fn measure(
     warmup: usize,
 ) -> Result<(ExecReport, Measurement), ExecError> {
     let _span = flat_obs::span("exec", "exec.measure");
-    for _ in 0..warmup {
-        run_program(prog, args, cfg)?;
-    }
-    let reps = reps.max(1);
-    let mut runs = Vec::with_capacity(reps);
-    let mut last = None;
-    for _ in 0..reps {
-        let rep = run_program(prog, args, cfg)?;
-        runs.push(rep.wall_nanos);
-        last = Some(rep);
-    }
-    Ok((last.expect("reps >= 1"), Measurement::from_runs(runs)))
+    measure_with(|| run_program(prog, args, cfg), reps, warmup)
 }
 
 #[cfg(test)]

@@ -18,9 +18,9 @@
 //!   `(shape class, path signature, threads, grain, wall_ns)`, the live
 //!   observations `autotune::samples` joins against the branching tree.
 
-use crate::exec::{ExecLaunch, ExecReport};
+use crate::decomp::{ExecLaunch, ExecReport};
 use flat_obs::json::Value;
-use flat_obs::metrics::{Histogram, HistogramSnapshot};
+use flat_obs::metrics::HistogramSnapshot;
 use flat_obs::TraceEvent;
 
 /// Per-kernel scheduler telemetry, captured around one host-level
@@ -30,48 +30,9 @@ pub struct KernelTelem {
     /// Pool counter delta across the kernel: what each slot did while
     /// this kernel ran.
     pub pool: workpool::PoolTelemetry,
-    /// Histogram of task sizes (elements per pool task) the grain-based
-    /// decomposition produced — the grain-efficiency signal.
+    /// Histogram of task sizes (elements per pool task), read from the
+    /// kernel's split plan — the grain-efficiency signal.
     pub task_sizes: HistogramSnapshot,
-}
-
-/// Reconstruct the task-size histogram of a kernel's decomposition.
-/// Mirrors the chunking in `seg_map` / `seg_red` / `seg_scan` exactly:
-/// sizes depend only on the space and the grain, never on threads.
-/// Public so the bytecode VM (`flat-vm`), which inherits the same
-/// decomposition, reports identical telemetry.
-pub fn task_size_histogram(
-    is_map: bool,
-    total: i64,
-    segments: i64,
-    inner_w: i64,
-    grain: usize,
-) -> HistogramSnapshot {
-    let h = Histogram::default();
-    match is_map {
-        true => {
-            let total = total.max(0) as usize;
-            let n_chunks = total.div_ceil(grain);
-            for c in 0..n_chunks {
-                let lo = c * grain;
-                let hi = ((c + 1) * grain).min(total);
-                h.observe((hi - lo) as u64);
-            }
-        }
-        false => {
-            if segments > 0 && total > 0 {
-                let g = grain as i64;
-                let blocks = ((inner_w + g - 1) / g).max(1);
-                for b in 0..blocks {
-                    let size = (inner_w - b * g).min(g).max(0);
-                    for _ in 0..segments {
-                        h.observe(size as u64);
-                    }
-                }
-            }
-        }
-    }
-    h.snapshot()
 }
 
 /// Bucket a shape into a coarse equivalence class by rounding every
@@ -382,101 +343,5 @@ mod tests {
         // ...and separates a matrix from its transpose when the bands
         // differ.
         assert_ne!(shape_class(&[16, 4096]), shape_class(&[4096, 16]));
-    }
-
-    /// Golden test: `render_exec_report` over a hand-built report with
-    /// fixed numbers must produce exactly this text. Guards the format
-    /// `flatc exec --exec-report` users (and the docs) depend on.
-    #[test]
-    fn exec_report_rendering_is_stable() {
-        use crate::exec::{ExecLaunch, ExecReport};
-        use flat_ir::ast::LVL_GRID;
-        use flat_ir::prov::Prov;
-        use workpool::{PoolTelemetry, WorkerTelemetry};
-
-        let worker = |tasks, local_pops, steals, steal_fails, parks, busy_ns| WorkerTelemetry {
-            tasks,
-            local_pops,
-            steals,
-            steal_fails,
-            parks,
-            busy_ns,
-        };
-        // Slot 0 is the spawned worker, the final slot the caller.
-        let pool = PoolTelemetry {
-            workers: vec![worker(6, 4, 2, 1, 1, 6_000), worker(2, 2, 0, 0, 0, 4_000)],
-        };
-        let launch = ExecLaunch {
-            name: "redres".to_string(),
-            kind: "segred",
-            level: LVL_GRID,
-            space: 256.0,
-            tasks: 8,
-            nanos: 8_000.0,
-            start_nanos: 0.0,
-            prov: Prov::UNKNOWN,
-            path: vec![(0, false), (1, true)],
-            widths: vec![32, 8],
-            tag: 1,
-            pool_start_ns: 0,
-            telem: Some(KernelTelem {
-                pool: pool.clone(),
-                // segmap-style cut of 10 elements at grain 4: tasks of
-                // size 4, 4, 2.
-                task_sizes: task_size_histogram(true, 10, 1, 10, 4),
-            }),
-        };
-        let rep = ExecReport {
-            values: vec![],
-            path: vec![],
-            launches: vec![launch],
-            wall_nanos: 10_000.0,
-            threads: 2,
-            grain: 4,
-            pool: Some(pool),
-            spans: vec![],
-            step_elems: Some((96, 32)),
-        };
-        let golden = "\
--- exec report: 1 kernel(s), 2 thread(s), grain 4, wall 10.0 µs --
-pool utilization: 50.0% busy (10.0 µs busy / 2 slots x 10.0 µs wall)
-tasks 8: 6 local + 2 stolen (25.0% steal rate), 1 failed steal scans, 1 parks
-vm steps: 96 element(s) as leaf strips + 32 one at a time (75.0% leaf)
-
-kernel redres [segred]  space 256  tasks 8  wall 8.0 µs  path 't0- t1+'
-  busy/worker: [worker-0 75%, caller 50%]
-  imbalance: max-min busy 25 pp; steals 2 / tasks 8 (25.0%)
-  grain efficiency: 3 task(s), size p50 3 / p99 4 / max 4 (grain 4), mean fill 83.3%
-";
-        assert_eq!(render_exec_report(&rep), golden);
-
-        // Telemetry off: the report degrades to a header plus a hint.
-        let bare = ExecReport {
-            values: vec![],
-            path: vec![],
-            launches: vec![],
-            wall_nanos: 2_500.0,
-            threads: 4,
-            grain: 1024,
-            pool: None,
-            spans: vec![],
-            step_elems: None,
-        };
-        assert_eq!(
-            render_exec_report(&bare),
-            "-- exec report: 0 kernel(s), 4 thread(s), grain 1024, wall 2.5 µs --\n  \
-             (telemetry was off: run with --exec-report or cfg.telemetry)\n"
-        );
-    }
-
-    #[test]
-    fn task_size_histograms_mirror_the_decomposition() {
-        // segmap: 10 elements at grain 4 -> tasks of 4, 4, 2.
-        let h = task_size_histogram(true, 10, 1, 10, 4);
-        assert_eq!(h.count, 3);
-        assert_eq!(h.sum, 10);
-        assert_eq!(h.max, 4);
-        // empty space -> no tasks.
-        assert_eq!(task_size_histogram(true, 0, 1, 0, 4).count, 0);
     }
 }

@@ -358,7 +358,9 @@ pub fn result_header(index: usize, v: &IrValue) -> (Value, String) {
         }
         IrValue::Array(av) => {
             let (elem, bits) = buffer_bits(&av.data);
-            let chunks = bits.len().div_ceil(CHUNK_HEX).max(1);
+            // A zero-extent array has no payload: announce no chunks, or
+            // the receiver waits for one that never comes.
+            let chunks = bits.len().div_ceil(CHUNK_HEX);
             (
                 Value::object(vec![
                     ("type", Value::from("result")),
@@ -383,11 +385,7 @@ pub fn result_header(index: usize, v: &IrValue) -> (Value, String) {
 pub fn result_frames(index: usize, v: &IrValue) -> Vec<Value> {
     let (header, bits) = result_header(index, v);
     let mut frames = vec![header];
-    if bits.is_empty() {
-        return frames;
-    }
-    let chunks = bits.len().div_ceil(CHUNK_HEX).max(1);
-    for seq in 0..chunks {
+    for seq in 0..bits.len().div_ceil(CHUNK_HEX) {
         let lo = seq * CHUNK_HEX;
         let hi = ((seq + 1) * CHUNK_HEX).min(bits.len());
         frames.push(Value::object(vec![

@@ -28,7 +28,7 @@
 //! sample-log schema, so `autotune::samples::warm_start` can seed an
 //! online tuner (ROADMAP item 3) from a single regret run.
 
-use flat_exec::{measure, shape_class, ExecConfig};
+use flat_exec::{shape_class, ExecConfig, ExecError, ExecReport};
 use flat_fuzz::oracle::enumerate_assignments;
 use flat_ir::ast::Program;
 use flat_ir::interp::Thresholds;
@@ -152,13 +152,33 @@ fn forced(base: &Thresholds, asg: &[(flat_ir::ast::ThresholdId, bool)]) -> Thres
     t
 }
 
-/// Run the full what-if sweep for `prog` on `args`.
+/// How a sweep prices one configuration: the run's report and the cost
+/// charged to it, nanoseconds. The seam `autotune` has as
+/// `Runner::Custom`: [`wall_clock`] measures, a test can compute.
+pub type CostFn<'a> = dyn Fn(&ExecConfig) -> Result<(ExecReport, f64), ExecError> + 'a;
+
+/// The measured cost: median wall clock of `cfg.reps` runs of `prog` on
+/// the tree-walking tier after `cfg.warmup` untimed ones.
+pub fn wall_clock<'a>(
+    prog: &'a Program,
+    args: &'a [DataValue],
+    cfg: &RegretConfig,
+) -> impl Fn(&ExecConfig) -> Result<(ExecReport, f64), ExecError> + 'a {
+    let (reps, warmup) = (cfg.reps, cfg.warmup);
+    move |exec_cfg| {
+        flat_exec::measure(prog, args, exec_cfg, reps, warmup)
+            .map(|(rep, m)| (rep, m.median_nanos))
+    }
+}
+
+/// Run the full what-if sweep on `args`, pricing each forced path with
+/// `cost`.
 pub fn profile_regret(
-    prog: &Program,
     reg: &ThresholdRegistry,
     program: &str,
     args: &[DataValue],
     cfg: &RegretConfig,
+    cost: &CostFn,
 ) -> Result<RegretReport, String> {
     let exec_cfg = |t: Thresholds| ExecConfig {
         thresholds: t,
@@ -168,9 +188,8 @@ pub fn profile_regret(
     };
 
     // 1. The live run: what do the current thresholds actually choose?
-    let (live_rep, live_m) =
-        measure(prog, args, &exec_cfg(cfg.thresholds.clone()), cfg.reps, cfg.warmup)
-            .map_err(|e| format!("live run failed: {e}"))?;
+    let (live_rep, live_ns) = cost(&exec_cfg(cfg.thresholds.clone()))
+        .map_err(|e| format!("live run failed: {e}"))?;
     let live_sig = live_rep.signature();
 
     // 2. Force and measure every enumerated version path.
@@ -183,7 +202,7 @@ pub fn profile_regret(
     };
     let mut alternatives = Vec::with_capacity(assignments.len());
     for asg in &assignments {
-        let (_, m) = measure(prog, args, &exec_cfg(forced(&cfg.thresholds, asg)), cfg.reps, cfg.warmup)
+        let (_, wall_ns) = cost(&exec_cfg(forced(&cfg.thresholds, asg)))
             .map_err(|e| format!("forced run {asg:?} failed: {e}"))?;
         let mut sig: Vec<(u32, bool)> = asg.iter().map(|&(id, t)| (id.0, t)).collect();
         sig.sort_unstable();
@@ -191,7 +210,7 @@ pub fn profile_regret(
         let matches_live = live_sig
             .iter()
             .all(|&(id, taken)| sig.iter().any(|&(i, t)| i == id && t == taken));
-        alternatives.push(AlternativeRun { sig, wall_ns: m.median_nanos, matches_live });
+        alternatives.push(AlternativeRun { sig, wall_ns, matches_live });
     }
 
     // 3. Charge the chosen path its *forced* re-measurement when one
@@ -201,7 +220,7 @@ pub fn profile_regret(
         .filter(|a| a.matches_live)
         .map(|a| a.wall_ns)
         .min_by(|x, y| x.partial_cmp(y).expect("walls are finite"))
-        .unwrap_or(live_m.median_nanos);
+        .unwrap_or(live_ns);
 
     // 4. Per-decision regret: best alternative flipping that decision.
     //    Enumerated assignments are tree-consistent, so any assignment
@@ -241,7 +260,7 @@ pub fn profile_regret(
         threads: live_rep.threads,
         grain: live_rep.grain,
         live_sig,
-        live_ns: live_m.median_nanos,
+        live_ns,
         alternatives,
         decisions,
         truncated,

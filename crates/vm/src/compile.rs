@@ -14,17 +14,12 @@
 //! with the interpreter on every well-typed program.
 
 use crate::bytecode::*;
+use flat_exec::decomp::{err, Result};
 use flat_exec::ExecError;
 use flat_ir::ast::*;
 use flat_ir::types::{Param, ScalarType, Type};
 use flat_ir::VName;
 use std::collections::{HashMap, HashSet};
-
-type Result<T> = std::result::Result<T, ExecError>;
-
-fn err<T>(msg: impl Into<String>) -> Result<T> {
-    Err(ExecError(msg.into()))
-}
 
 /// `lam` (`k` accumulator parameters) was due `want` values, not `got`.
 fn lam_arity(lam: &Lambda, k: usize, got: usize, want: usize) -> Result<()> {

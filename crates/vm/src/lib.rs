@@ -11,15 +11,15 @@
 //!   over unboxed register files, with no hashing, boxing, or dynamic
 //!   type dispatch. `iota`/`replicate`/`rearrange`/indexing are index
 //!   arithmetic over raw buffers.
-//! * **Execution** ([`run_program`], [`run_compiled`]) reuses
-//!   `flat-exec`'s kernel decomposition verbatim — grain-size chunking
-//!   for `segmap`, block partials combined left-to-right for `segred`,
-//!   the three-pass `segscan` — on the same vendored `workpool`, so
-//!   chunk boundaries, reassociation, threshold live-dispatch,
-//!   `path_signature`, launch records, and telemetry are all inherited.
-//!   Results are bitwise identical to `flat-exec` at every thread count
-//!   and grain, and the tree-walking interpreter remains the semantic
-//!   oracle for both.
+//! * **Execution** ([`run_program`], [`run_compiled`]) is a second
+//!   [`flat_exec::decomp::Tier`]: the kernel decomposition — grain-size
+//!   chunking for `segmap`, block partials combined left-to-right for
+//!   `segred`, the three-pass `segscan`, the pool dispatch, launch
+//!   records and telemetry — is `flat_exec::decomp`'s, called with this
+//!   crate's bytecode loops as the leaf work. Results are bitwise
+//!   identical to `flat-exec` at every thread count and grain because
+//!   both run that one module, and the tree-walking interpreter remains
+//!   the semantic oracle for both.
 //! * **Observability**: [`disasm`] renders the bytecode for golden
 //!   tests; runs emit `vm.*` metrics parallel to `exec.*`.
 //!
@@ -36,12 +36,11 @@ pub use run::{run_compiled, run_program};
 
 use flat_exec::{ExecConfig, ExecError, ExecReport, Measurement};
 use flat_ir::ast::Program;
-use flat_ir::interp::Thresholds;
 use flat_ir::value::Value;
 
-/// Median-of-k wall-clock measurement, mirroring [`flat_exec::measure`]
-/// but compiling the program once, outside the timed region — the
-/// lowering cost is paid per program, not per run.
+/// [`flat_exec::measure_with`] over the compiled tier, compiling the
+/// program once, outside the timed region — the lowering cost is paid
+/// per program, not per run.
 pub fn measure(
     prog: &Program,
     args: &[Value],
@@ -51,32 +50,5 @@ pub fn measure(
 ) -> Result<(ExecReport, Measurement), ExecError> {
     let _span = flat_obs::span("vm", "vm.measure");
     let compiled = compile(prog)?;
-    for _ in 0..warmup {
-        run_compiled(&compiled, args, cfg)?;
-    }
-    let reps = reps.max(1);
-    let mut runs = Vec::with_capacity(reps);
-    let mut last = None;
-    for _ in 0..reps {
-        let rep = run_compiled(&compiled, args, cfg)?;
-        runs.push(rep.wall_nanos);
-        last = Some(rep);
-    }
-    Ok((last.expect("reps >= 1"), Measurement::from_runs(runs)))
-}
-
-/// Run a program under live dispatch with the given thresholds, as
-/// [`flat_exec::run_live`] but through the bytecode tier.
-pub fn run_live(
-    prog: &Program,
-    args: &[Value],
-    thresholds: &Thresholds,
-    threads: Option<usize>,
-) -> Result<ExecReport, ExecError> {
-    let cfg = ExecConfig {
-        thresholds: thresholds.clone(),
-        threads,
-        ..ExecConfig::default()
-    };
-    run_program(prog, args, &cfg)
+    flat_exec::measure_with(|| run_compiled(&compiled, args, cfg), reps, warmup)
 }

@@ -1,40 +1,34 @@
-//! The VM executor: runs compiled bytecode with exactly `flat-exec`'s
-//! kernel decomposition, so results, `path_signature`, launch records,
-//! and telemetry are bitwise interchangeable with the tree-walking
-//! executor at every thread count and grain.
+//! The VM executor: runs compiled bytecode as the second tier over the
+//! one kernel decomposition, [`flat_exec::decomp`]. The split into
+//! tasks, the pool dispatch, the joins, the launch records and the
+//! telemetry are that module's; results, `path_signature` and launch
+//! records are therefore bitwise interchangeable with the tree-walking
+//! tier at every thread count and grain by construction — the two share
+//! the code that could make them differ.
 //!
-//! The determinism argument is `flat-exec`'s, inherited verbatim:
-//! kernels are decomposed by grain only, task results are combined in
-//! task order on the calling thread, and `segred`/`segscan` reassociate
-//! identically for every thread count. See `crates/exec/src/exec.rs`.
-//!
-//! The differences are all below the decomposition: a kernel task's
-//! "frame" is a clone of three flat register banks instead of a
-//! name→`Arc<Value>` map, the body is a `match` over monomorphic
-//! opcodes instead of an AST walk, every per-element loop is one
-//! routine ([`Vm::run_range`]) that runs straight-line step functions a
-//! strip of lanes at a time, and the sequential combine passes of
-//! `segred`/`segscan` run directly on the host frame (safe because
-//! registers are never reused, so everything they clobber is dead).
+//! What this file supplies is below the decomposition: a frame is three
+//! flat register banks instead of a name→`Arc<Value>` map, the body is a
+//! `match` over monomorphic opcodes instead of an AST walk, and every
+//! per-element loop — including the [`Tier`] hooks a kernel task calls —
+//! is one routine ([`Vm::run_range`]) that runs straight-line step
+//! functions a strip of lanes at a time.
 
 use crate::bytecode::*;
 use crate::ops::{Carry, Cols, OnCols, OnRegs, STRIP};
-use flat_exec::{ExecConfig, ExecError, ExecLaunch, ExecReport, KernelTelem};
+use flat_exec::decomp::{
+    self, accumulate, err, Accs, CrossVal, Kernels, Kind, Launch, Point, Result, ResultAcc, Tier,
+    Trail,
+};
+use flat_exec::{ExecConfig, ExecError, ExecReport};
 use flat_ir::ast::{Const, Program};
 use flat_ir::interp::{self as interp, Thresholds};
-use flat_ir::types::{ScalarType, Type};
+use flat_ir::types::ScalarType;
 use flat_ir::value::{ArrayVal, Buffer, Value};
 use gpu_sim::CmpRecord;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
-
-type Result<T> = std::result::Result<T, ExecError>;
-
-fn err<T>(msg: impl Into<String>) -> Result<T> {
-    Err(ExecError(msg.into()))
-}
 
 /// Compile and execute a program on concrete values. Drop-in for
 /// `flat_exec::run_program`, returning the same report type.
@@ -50,11 +44,7 @@ pub fn run_compiled(
     args: &[Value],
     cfg: &ExecConfig,
 ) -> Result<ExecReport> {
-    let pool = match cfg.threads {
-        Some(n) => workpool::pool_with(n),
-        None => workpool::global(),
-    };
-    let _span = flat_obs::span("vm", "vm.run");
+    let kernels = Kernels::begin("vm", cfg);
     if prog.params.len() != args.len() {
         return err(format!(
             "program {} expects {} arguments, got {}",
@@ -63,20 +53,10 @@ pub fn run_compiled(
             args.len()
         ));
     }
-    // As in `flat_exec::run_program`: a reference-counted telemetry
-    // session keeps concurrent runs on the shared pool from clobbering
-    // each other's switches or stealing each other's spans.
-    let telem_on = cfg.telemetry || cfg.worker_trace;
-    let session = telem_on.then(|| pool.telemetry_session(cfg.worker_trace));
-    let pool_before = telem_on.then(|| pool.telemetry());
     let vm = Vm {
         prog,
         thresholds: &cfg.thresholds,
-        pool: &pool,
-        grain: cfg.grain.max(1),
-        t0: Instant::now(),
-        telem: telem_on,
-        cur_tag: AtomicU64::new(0),
+        kernels: &kernels,
         leaf_elems: AtomicU64::new(0),
         scalar_elems: AtomicU64::new(0),
     };
@@ -84,55 +64,24 @@ pub fn run_compiled(
         ints: vec![0; prog.n_int as usize],
         flts: vec![0.0; prog.n_flt as usize],
         arrs: vec![None; prog.n_arr as usize],
-        path: Vec::new(),
-        launches: Vec::new(),
-        in_kernel: false,
+        trail: Trail::default(),
     };
     let bound = bind_args(&mut fr, prog, args);
     let started = Instant::now();
     let eval = bound.and_then(|()| vm.run_func(&mut fr, prog.main));
     let wall_nanos = started.elapsed().as_nanos() as f64;
-    let pool_telem = pool_before.map(|b| pool.telemetry().delta_since(&b));
-    let mut spans = match &session {
-        Some(s) if s.recording_spans() => s.take_spans(),
-        _ => Vec::new(),
-    };
-    drop(session);
-    if !spans.is_empty() {
-        let own: std::collections::HashSet<u64> =
-            fr.launches.iter().map(|l| l.tag).filter(|&t| t != 0).collect();
-        spans.retain(|s| own.contains(&s.tag));
-    }
-    eval?;
-    let values: Vec<Value> =
-        prog.results.iter().map(|&l| vm.read_value(&fr, l)).collect::<Result<_>>()?;
+    let values =
+        eval.and_then(|()| prog.results.iter().map(|&l| vm.read_value(&fr, l)).collect());
     let elems = |n: &AtomicU64| n.load(Ordering::Relaxed);
-    let step_elems = telem_on.then(|| (elems(&vm.leaf_elems), elems(&vm.scalar_elems)));
-    if let (Some(t), Some((leaf, scalar))) = (&pool_telem, step_elems) {
-        let total = t.total();
+    let step_elems = kernels.telemetry().then(|| (elems(&vm.leaf_elems), elems(&vm.scalar_elems)));
+    let mut rep = kernels.finish(fr.trail, wall_nanos, values)?;
+    if let Some((leaf, scalar)) = step_elems {
         let m = flat_obs::global().metrics();
-        m.add("vm.pool.tasks", total.tasks);
-        m.add("vm.pool.steals", total.steals);
-        m.add("vm.pool.steal_fails", total.steal_fails);
-        m.add("vm.pool.parks", total.parks);
-        m.add("vm.pool.busy_ns", total.busy_ns);
         m.add("vm.leaf_elems", leaf);
         m.add("vm.scalar_elems", scalar);
-        for l in &fr.launches {
-            m.observe("vm.kernel_ns", l.nanos as u64);
-        }
     }
-    Ok(ExecReport {
-        values,
-        path: fr.path,
-        launches: fr.launches,
-        wall_nanos,
-        threads: pool.threads(),
-        grain: cfg.grain.max(1),
-        pool: pool_telem,
-        spans,
-        step_elems,
-    })
+    rep.step_elems = step_elems;
+    Ok(rep)
 }
 
 fn bind_args(fr: &mut VmFrame, prog: &CompiledProgram, args: &[Value]) -> Result<()> {
@@ -164,14 +113,18 @@ fn bind_args(fr: &mut VmFrame, prog: &CompiledProgram, args: &[Value]) -> Result
 }
 
 /// One evaluation context: the three register banks plus the records a
-/// kernel task accumulates privately and the host merges in task order.
+/// kernel task accumulates privately and the join merges in task order.
 pub(crate) struct VmFrame {
     pub(crate) ints: Vec<i64>,
     pub(crate) flts: Vec<f64>,
     pub(crate) arrs: Vec<Option<Arc<ArrayVal>>>,
-    path: Vec<CmpRecord>,
-    launches: Vec<ExecLaunch>,
-    in_kernel: bool,
+    trail: Trail,
+}
+
+impl AsMut<Trail> for VmFrame {
+    fn as_mut(&mut self) -> &mut Trail {
+        &mut self.trail
+    }
 }
 
 thread_local! {
@@ -187,6 +140,15 @@ enum TVal {
     A(Arc<ArrayVal>),
 }
 
+impl CrossVal for TVal {
+    fn point(&self) -> Point<'_> {
+        match self {
+            TVal::S(c) => Point::S(*c),
+            TVal::A(a) => Point::A(a),
+        }
+    }
+}
+
 /// One context dimension's binds, prefetched for a task: source array
 /// and destination register, width-checked at build time. Sound to hold
 /// across body runs because registers are never reused — a body cannot
@@ -199,7 +161,7 @@ type Same<'a> = Option<(&'a [Loc], &'a [TVal])>;
 
 /// A step function's per-element results: where they are read and what
 /// they are appended to.
-type Sink<'a> = Option<(&'a [Loc], &'a mut Option<Vec<VAcc>>)>;
+type Sink<'a> = Option<(&'a [Loc], &'a mut Accs)>;
 
 fn read_const(fr: &VmFrame, l: Loc) -> Result<Const> {
     match l {
@@ -239,27 +201,11 @@ fn write_const(fr: &mut VmFrame, l: Loc, c: Const) -> Result<()> {
 pub(crate) struct Vm<'a> {
     prog: &'a CompiledProgram,
     thresholds: &'a Thresholds,
-    pool: &'a workpool::Pool,
-    grain: usize,
-    t0: Instant,
-    telem: bool,
-    /// Tag stamped on the current kernel's pool jobs; allocated by
-    /// [`workpool::fresh_tag`], unique across concurrent runs.
-    cur_tag: AtomicU64,
+    kernels: &'a Kernels,
     /// Elements stepped a strip at a time and one at a time (counted
     /// only with telemetry on).
     leaf_elems: AtomicU64,
     scalar_elems: AtomicU64,
-}
-
-/// A per-task result slot, as in `flat-exec`: the task's value plus its
-/// privately recorded threshold comparisons.
-type TaskSlot<T> = Mutex<Option<Result<(T, Vec<CmpRecord>)>>>;
-
-fn take_slot<T>(slot: TaskSlot<T>) -> Result<(T, Vec<CmpRecord>)> {
-    slot.into_inner()
-        .unwrap()
-        .ok_or_else(|| ExecError("kernel task did not run".into()))?
 }
 
 impl Vm<'_> {
@@ -337,19 +283,6 @@ impl Vm<'_> {
         Ok(())
     }
 
-    /// A kernel-side frame: a clone of the register banks with private
-    /// path/launch records.
-    fn task_frame(&self, fr: &VmFrame) -> VmFrame {
-        VmFrame {
-            ints: fr.ints.clone(),
-            flts: fr.flts.clone(),
-            arrs: fr.arrs.clone(),
-            path: Vec::new(),
-            launches: Vec::new(),
-            in_kernel: true,
-        }
-    }
-
     // -- the dispatch loop --------------------------------------------
 
     pub(crate) fn run_func(&self, fr: &mut VmFrame, f: FuncId) -> Result<()> {
@@ -383,7 +316,7 @@ impl Vm<'_> {
                         par = par.saturating_mul(self.read_op(fr, *fx));
                     }
                     let taken = par >= self.thresholds.get(*id);
-                    fr.path.push(CmpRecord { id: *id, par, taken });
+                    fr.trail.path.push(CmpRecord { id: *id, par, taken });
                     fr.ints[*dst as usize] = taken as i64;
                 }
                 Instr::Index { arr, idxs, dst } => {
@@ -513,43 +446,16 @@ impl Vm<'_> {
         if so.kind != SoacKind::Map {
             self.copy_locs(fr, &so.nes, &so.accs)?;
         }
-        let mut out: Option<Vec<VAcc>> = None;
+        let mut out: Accs = None;
         let sink = (!folds).then_some((&so.outs[..], &mut out));
         self.run_range(fr, so.step, &inputs, None, 0..n, sink)?;
         if folds {
             self.copy_locs(fr, &so.accs, &so.dsts)
         } else {
-            self.write_results(fr, out, &so.dsts, &so.ret, &[n.max(0)])
+            let mut dsts = so.dsts.iter();
+            let put = |v| dsts.next().map_or(Ok(()), |&d| self.write_value(fr, d, v));
+            decomp::finish_results(out, &so.ret, &[n.max(0)], put)
         }
-    }
-
-    /// Write the finished per-point results to `dsts` under the outer
-    /// shape — or, when there were no points, empty arrays of the
-    /// declared element types.
-    fn write_results(
-        &self,
-        fr: &mut VmFrame,
-        out: Option<Vec<VAcc>>,
-        dsts: &[Loc],
-        rets: &[Type],
-        outer: &[i64],
-    ) -> Result<()> {
-        match out {
-            Some(accs) => {
-                for (acc, &d) in accs.into_iter().zip(dsts) {
-                    self.write_value(fr, d, acc.finish_shaped(outer))?;
-                }
-            }
-            None => {
-                for (t, &d) in rets.iter().zip(dsts) {
-                    let mut shape = outer.to_vec();
-                    shape.extend(std::iter::repeat_n(0, t.rank()));
-                    let av = ArrayVal::new(shape, Buffer::with_capacity(t.scalar, 0));
-                    self.write_value(fr, d, Value::Array(av))?;
-                }
-            }
-        }
-        Ok(())
     }
 
     /// Bind outer element `i` of an array with element shape `shape`
@@ -601,7 +507,7 @@ impl Vm<'_> {
             });
         let class = self.prog.steps[step as usize].as_ref();
         let leaf = class.and_then(|c| c.as_ref().ok()).filter(|_| columns);
-        if self.telem {
+        if self.kernels.telemetry() {
             let n = if leaf.is_some() { &self.leaf_elems } else { &self.scalar_elems };
             n.fetch_add((range.end - range.start) as u64, Ordering::Relaxed);
         }
@@ -694,42 +600,11 @@ impl Vm<'_> {
 
     // -- segmented operators ------------------------------------------
 
-    /// Bind the outer (non-innermost) context dimensions for a segment,
-    /// outermost first: dim k's arrays can be the rows dim k-1 binds.
-    fn bind_segment(
-        &self,
-        fr: &mut VmFrame,
-        sg: &CompiledSeg,
-        widths: &[i64],
-        seg: i64,
-    ) -> Result<()> {
-        let p = widths.len();
-        let mut idxs = vec![0i64; p];
-        let mut rem = seg;
-        for k in (0..p - 1).rev() {
-            idxs[k] = rem % widths[k];
-            rem /= widths[k];
-        }
-        for (k, dim) in sg.ctx.iter().take(p - 1).enumerate() {
-            for b in &dim.binds {
-                let a = self.arr(fr, b.arr)?.clone();
-                if a.shape[0] != widths[k] {
-                    return err(format!(
-                        "segop context dim {k}: width {} but array {} outer size {}",
-                        widths[k], b.name, a.shape[0]
-                    ));
-                }
-                self.bind_row(fr, &a.data, &a.shape[1..], idxs[k], b.dst)?;
-            }
-        }
-        Ok(())
-    }
-
     /// Prefetch one context dimension's binds for a task: the source
     /// arrays (`Arc`s held once, not cloned per element) with the width
-    /// check done up front, as `flat-exec` words it. `k` is the dimension,
-    /// or `None` for the innermost one of a fold loop (build that plan
-    /// only when the loop is nonempty: an empty block skips the check).
+    /// check done up front. `k` is the dimension, or `None` for the
+    /// innermost one of a fold loop (build that plan only when the loop
+    /// is nonempty: an empty block skips the check).
     fn dim_plan(&self, fr: &VmFrame, dim: &CDim, k: Option<usize>, w: i64) -> Result<DimPlan> {
         let mut binds = Vec::with_capacity(dim.binds.len());
         for b in &dim.binds {
@@ -754,123 +629,98 @@ impl Vm<'_> {
         Ok(())
     }
 
+    /// Out of line: the generic decomposition is instantiated under here,
+    /// and inlined into the recursive `run_func` it costs every other
+    /// instruction its stack frame.
+    #[inline(never)]
     fn run_seg(&self, fr: &mut VmFrame, id: u32) -> Result<()> {
         let sg = &self.prog.segs[id as usize];
         let widths: Vec<i64> = sg.ctx.iter().map(|d| self.read_op(fr, d.width)).collect();
-        let inner_w = *widths
-            .last()
-            .ok_or_else(|| ExecError("segop with empty context".into()))?;
-        if widths.iter().any(|&w| w < 0) {
-            return err(format!("segop with negative width in {widths:?}"));
+        let launch = Launch {
+            name: &sg.name,
+            kind: match sg.kind {
+                CSegKind::Map { .. } => Kind::Map,
+                CSegKind::Red(_) => Kind::Red,
+                CSegKind::Scan(_) => Kind::Scan,
+            },
+            level: sg.level,
+            prov: sg.prov,
+            body_ret: &sg.body_ret,
+        };
+        let body = SegBody { vm: self, sg, widths: &widths };
+        let mut dsts = sg.dsts.iter();
+        self.kernels.launch(&body, fr, &launch, &widths, |fr, v| {
+            dsts.next().map_or(Ok(()), |&d| self.write_value(fr, d, v))
+        })
+    }
+}
+
+/// One segop's leaf work on the bytecode.
+struct SegBody<'a> {
+    vm: &'a Vm<'a>,
+    sg: &'a CompiledSeg,
+    widths: &'a [i64],
+}
+
+impl SegBody<'_> {
+    /// The operator of a `segred`/`segscan`.
+    fn operator(&self) -> Result<&COperator> {
+        match &self.sg.kind {
+            CSegKind::Red(op) | CSegKind::Scan(op) => Ok(op),
+            CSegKind::Map { .. } => err("segmap has no operator"),
         }
-        let total: i64 = widths.iter().product();
-        let segments: i64 = widths[..widths.len() - 1].iter().product();
-        let out_shape: Vec<i64> = match sg.kind {
-            CSegKind::Red { .. } => widths[..widths.len() - 1].to_vec(),
-            _ => widths.clone(),
-        };
+    }
+}
 
-        let kind_name = sg.kind.name();
-        let record = !fr.in_kernel;
-        let path_sig = gpu_sim::path_signature(&fr.path);
-        let start_nanos = self.t0.elapsed().as_nanos() as f64;
-        let _span = if record {
-            Some(flat_obs::span("vm", kind_name))
-        } else {
-            None
-        };
-        let telem_on = record && self.telem;
-        let tag = if telem_on { workpool::fresh_tag() } else { 0 };
-        self.cur_tag.store(tag, Ordering::Relaxed);
-        let pool_before = telem_on.then(|| self.pool.telemetry());
-        let pool_start_ns = if telem_on { self.pool.now_ns() } else { 0 };
-        let started = Instant::now();
+/// The per-task hooks are `#[inline]`: a one-block task is about a
+/// microsecond, and out-of-line calls from `decomp`'s dispatch closure
+/// (another crate's generic code) show at that scale.
+impl Tier for SegBody<'_> {
+    type Frame = VmFrame;
+    type Val = TVal;
 
-        let (out, tasks) = match &sg.kind {
-            CSegKind::Map { body, outs } => {
-                self.seg_map(fr, sg, *body, outs, &widths, total)?
+    /// A clone of the register banks.
+    #[inline]
+    fn fork(&self, host: &VmFrame) -> VmFrame {
+        VmFrame {
+            ints: host.ints.clone(),
+            flts: host.flts.clone(),
+            arrs: host.arrs.clone(),
+            trail: Trail::task(),
+        }
+    }
+
+    /// Outermost first: dim k's arrays can be the rows dim k-1 binds.
+    #[inline]
+    fn bind_segment(&self, fr: &mut VmFrame, seg: usize) -> Result<()> {
+        let (vm, widths) = (self.vm, self.widths);
+        let p = widths.len();
+        let mut idxs = vec![0i64; p];
+        let mut rem = seg as i64;
+        for k in (0..p - 1).rev() {
+            idxs[k] = rem % widths[k];
+            rem /= widths[k];
+        }
+        for (k, dim) in self.sg.ctx.iter().take(p - 1).enumerate() {
+            for b in &dim.binds {
+                let a = vm.arr(fr, b.arr)?.clone();
+                if a.shape[0] != widths[k] {
+                    return err(format!(
+                        "segop context dim {k}: width {} but array {} outer size {}",
+                        widths[k], b.name, a.shape[0]
+                    ));
+                }
+                vm.bind_row(fr, &a.data, &a.shape[1..], idxs[k], b.dst)?;
             }
-            CSegKind::Red(op) => self.seg_red(fr, sg, op, &widths, segments, inner_w)?,
-            CSegKind::Scan(op) => self.seg_scan(fr, sg, op, &widths, segments, inner_w)?,
+        }
+        Ok(())
+    }
+
+    fn map_range(&self, fr: &mut VmFrame, range: Range<usize>, sink: &mut Accs) -> Result<()> {
+        let (vm, sg, widths) = (self.vm, self.sg, self.widths);
+        let CSegKind::Map { body, outs } = &sg.kind else {
+            return err("map_range on a segop that is not a segmap");
         };
-
-        if record {
-            flat_obs::counter("vm.launches").inc();
-            let telem = pool_before.map(|before| KernelTelem {
-                pool: self.pool.telemetry().delta_since(&before),
-                task_sizes: flat_exec::task_size_histogram(
-                    matches!(sg.kind, CSegKind::Map { .. }),
-                    total,
-                    segments,
-                    inner_w,
-                    self.grain,
-                ),
-            });
-            fr.launches.push(ExecLaunch {
-                name: sg.name.clone(),
-                kind: kind_name,
-                level: sg.level,
-                space: total.max(0) as f64,
-                tasks: tasks as u64,
-                nanos: started.elapsed().as_nanos() as f64,
-                start_nanos,
-                prov: sg.prov,
-                path: path_sig,
-                widths: widths.clone(),
-                tag,
-                pool_start_ns,
-                telem,
-            });
-        }
-
-        self.write_results(fr, out, &sg.dsts, &sg.body_ret, &out_shape)
-    }
-
-    fn seg_map(
-        &self,
-        fr: &mut VmFrame,
-        sg: &CompiledSeg,
-        body: FuncId,
-        outs: &[Loc],
-        widths: &[i64],
-        total: i64,
-    ) -> Result<(Option<Vec<VAcc>>, usize)> {
-        if total <= 0 {
-            return Ok((None, 0));
-        }
-        let total = total as usize;
-        let grain = self.grain;
-        let n_chunks = total.div_ceil(grain);
-        let slots: Vec<TaskSlot<Vec<VAcc>>> = (0..n_chunks).map(|_| Mutex::new(None)).collect();
-        let host: &VmFrame = fr;
-        let tag = self.cur_tag.load(Ordering::Relaxed);
-        self.pool.run_tagged(n_chunks, tag, &|c| {
-            let lo = c * grain;
-            let hi = ((c + 1) * grain).min(total);
-            let mut sub = self.task_frame(host);
-            let r = self.map_range(&mut sub, sg, body, outs, widths, lo, hi);
-            *slots[c].lock().unwrap() = Some(r.map(|accs| (accs, sub.path)));
-        });
-        let mut out: Option<Vec<VAcc>> = None;
-        for slot in slots {
-            let (accs, path) = take_slot(slot)?;
-            fr.path.extend(path);
-            merge_vaccs(&mut out, accs)?;
-        }
-        Ok((out, n_chunks))
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn map_range(
-        &self,
-        fr: &mut VmFrame,
-        sg: &CompiledSeg,
-        body: FuncId,
-        outs: &[Loc],
-        widths: &[i64],
-        lo: usize,
-        hi: usize,
-    ) -> Result<Vec<VAcc>> {
         let p = widths.len();
         let inner = widths[p - 1] as usize;
         // One run of the body per stretch of the innermost dimension.
@@ -884,9 +734,8 @@ impl Vm<'_> {
         let mut plans: Vec<Option<DimPlan>> = (0..p - 1).map(|_| None).collect();
         let mut idxs = vec![0i64; p - 1];
         let mut prev = vec![-1i64; p - 1];
-        let mut out: Option<Vec<VAcc>> = None;
-        let mut flat = lo;
-        while flat < hi {
+        let mut flat = range.start;
+        while flat < range.end {
             let mut rem = (flat / inner) as i64;
             for k in (0..p - 1).rev() {
                 idxs[k] = rem % widths[k];
@@ -900,220 +749,67 @@ impl Vm<'_> {
                 let plan = match &plans[k] {
                     Some(pl) => pl,
                     None => {
-                        plans[k] = Some(self.dim_plan(fr, &sg.ctx[k], Some(k), widths[k])?);
+                        plans[k] = Some(vm.dim_plan(fr, &sg.ctx[k], Some(k), widths[k])?);
                         plans[k].as_ref().expect("plan just built")
                     }
                 };
-                self.bind_dim(fr, plan, idxs[k])?;
+                vm.bind_dim(fr, plan, idxs[k])?;
                 prev[k] = idxs[k];
             }
             let j = flat % inner;
-            let run = (inner - j).min(hi - flat);
-            let plan = self.dim_plan(fr, &sg.ctx[p - 1], Some(p - 1), widths[p - 1])?;
-            let sink = Some((outs, &mut out));
-            self.run_range(fr, body, &plan, None, j as i64..(j + run) as i64, sink)?;
+            let run = (inner - j).min(range.end - flat);
+            let plan = vm.dim_plan(fr, &sg.ctx[p - 1], Some(p - 1), widths[p - 1])?;
+            let sink = Some((&outs[..], &mut *sink));
+            vm.run_range(fr, *body, &plan, None, j as i64..(j + run) as i64, sink)?;
             flat += run;
         }
-        out.ok_or_else(|| ExecError("empty segmap chunk".into()))
-    }
-
-    /// The parallel pass `segred` and `segscan` share: each (segment,
-    /// block) task binds its segment, starts from the neutral elements
-    /// and folds its block, leaving the running total — and, for a scan,
-    /// every running value. Results come back in task order.
-    #[allow(clippy::too_many_arguments)]
-    fn fold_blocks(
-        &self,
-        fr: &mut VmFrame,
-        sg: &CompiledSeg,
-        op: &COperator,
-        widths: &[i64],
-        inner_w: i64,
-        tasks: usize,
-        blocks: usize,
-        scan: bool,
-    ) -> Result<Vec<(Vec<VAcc>, Vec<TVal>)>> {
-        let grain = self.grain as i64;
-        let inner = sg.ctx.last().ok_or_else(|| ExecError("segop with empty context".into()))?;
-        let slots: Vec<TaskSlot<_>> = (0..tasks).map(|_| Mutex::new(None)).collect();
-        let host: &VmFrame = fr;
-        let tag = self.cur_tag.load(Ordering::Relaxed);
-        self.pool.run_tagged(tasks, tag, &|t| {
-            let seg = (t / blocks) as i64;
-            let b = (t % blocks) as i64;
-            let mut sub = self.task_frame(host);
-            let r = (|| {
-                self.bind_segment(&mut sub, sg, widths, seg)?;
-                // Neutral elements read after the segment context is
-                // bound, as in flat-exec (they may reference it).
-                self.copy_locs(&mut sub, &op.nes, &op.accs)?;
-                let mut local: Option<Vec<VAcc>> = None;
-                let (jlo, jhi) = (b * grain, (b * grain + grain).min(inner_w));
-                if jlo < jhi {
-                    let plan = self.dim_plan(&sub, inner, None, inner_w)?;
-                    let sink = scan.then_some((&op.accs[..], &mut local));
-                    self.run_range(&mut sub, op.fold, &plan, None, jlo..jhi, sink)?;
-                }
-                if scan && local.is_none() {
-                    return err("empty segscan block");
-                }
-                Ok((local.unwrap_or_default(), self.read_tvals(&sub, &op.accs)?))
-            })();
-            *slots[t].lock().unwrap() = Some(r.map(|s| (s, sub.path)));
-        });
-        let mut folded = Vec::with_capacity(tasks);
-        for slot in slots {
-            let (s, path) = take_slot(slot)?;
-            fr.path.extend(path);
-            folded.push(s);
-        }
-        Ok(folded)
-    }
-
-    /// `acc <- combine(acc, b)` on `fr`, which must be in the segment's
-    /// context.
-    fn combine(
-        &self,
-        fr: &mut VmFrame,
-        op: &COperator,
-        acc: &mut Vec<TVal>,
-        b: &[TVal],
-    ) -> Result<()> {
-        self.write_tvals(fr, &op.accs, acc)?;
-        self.write_tvals(fr, &op.rhs, b)?;
-        self.run_func(fr, op.combine)?;
-        *acc = self.read_tvals(fr, &op.accs)?;
         Ok(())
     }
 
-    fn seg_red(
+    #[inline]
+    fn fold_block(
         &self,
         fr: &mut VmFrame,
-        sg: &CompiledSeg,
-        op: &COperator,
-        widths: &[i64],
-        segments: i64,
-        inner_w: i64,
-    ) -> Result<(Option<Vec<VAcc>>, usize)> {
-        if segments <= 0 {
-            return Ok((None, 0));
+        range: Range<usize>,
+        scan: Option<&mut Accs>,
+    ) -> Result<Vec<TVal>> {
+        let (vm, op) = (self.vm, self.operator()?);
+        // Neutral elements are read after the segment context is bound
+        // (they may reference it).
+        vm.copy_locs(fr, &op.nes, &op.accs)?;
+        if !range.is_empty() {
+            let inner = self.widths.len() - 1;
+            let plan = vm.dim_plan(fr, &self.sg.ctx[inner], None, self.widths[inner])?;
+            let sink = scan.map(|local| (&op.accs[..], local));
+            vm.run_range(fr, op.fold, &plan, None, range.start as i64..range.end as i64, sink)?;
         }
-        let segments = segments as usize;
-        let grain = self.grain as i64;
-        let blocks = (((inner_w + grain - 1) / grain).max(1)) as usize;
-        let tasks = segments * blocks;
-        let partials = self.fold_blocks(fr, sg, op, widths, inner_w, tasks, blocks, false)?;
-        // Combine block partials left-to-right within each segment, in
-        // the segment's context. Runs on the host frame in kernel mode:
-        // every register it writes is dead afterwards (no reuse), and
-        // its threshold records land in fr.path in flat-exec's order.
-        let saved = fr.in_kernel;
-        fr.in_kernel = true;
-        let res = (|| {
-            let mut out: Option<Vec<VAcc>> = None;
-            let mut partials = partials.into_iter().map(|(_, acc)| acc);
-            let mut next =
-                || partials.next().ok_or_else(|| ExecError("one partial per block missing".into()));
-            for seg in 0..segments {
-                self.bind_segment(fr, sg, widths, seg as i64)?;
-                let mut acc = next()?;
-                for _ in 1..blocks {
-                    self.combine(fr, op, &mut acc, &next()?)?;
-                }
-                accumulate(&mut out, acc.len(), |k| {
-                    Ok(match &acc[k] {
-                        TVal::S(c) => Point::S(*c),
-                        TVal::A(a) => Point::A(a),
-                    })
-                })?;
-            }
-            Ok((out, tasks))
-        })();
-        fr.in_kernel = saved;
-        res
+        vm.read_tvals(fr, &op.accs)
     }
 
-    fn seg_scan(
+    #[inline]
+    fn combine(&self, fr: &mut VmFrame, acc: &mut Vec<TVal>, rhs: &[TVal]) -> Result<()> {
+        let (vm, op) = (self.vm, self.operator()?);
+        vm.write_tvals(fr, &op.accs, acc)?;
+        vm.write_tvals(fr, &op.rhs, rhs)?;
+        vm.run_func(fr, op.combine)?;
+        *acc = vm.read_tvals(fr, &op.accs)?;
+        Ok(())
+    }
+
+    fn fixup(
         &self,
         fr: &mut VmFrame,
-        sg: &CompiledSeg,
-        op: &COperator,
-        widths: &[i64],
-        segments: i64,
-        inner_w: i64,
-    ) -> Result<(Option<Vec<VAcc>>, usize)> {
-        if segments <= 0 || inner_w <= 0 {
-            return Ok((None, 0));
-        }
-        let segments = segments as usize;
-        let grain = self.grain as i64;
-        let blocks = ((inner_w + grain - 1) / grain) as usize;
-        let tasks = segments * blocks;
-
-        // Pass 1: per-block local scans, recording the scanned elements
-        // and the running total.
-        let pass1 = self.fold_blocks(fr, sg, op, widths, inner_w, tasks, blocks, true)?;
-        // With one block per segment nothing has a prefix: the local
-        // scans are the result.
-        let mut out: Option<Vec<VAcc>> = None;
-        if blocks == 1 {
-            for (local, _) in pass1 {
-                merge_vaccs(&mut out, local)?;
-            }
-            return Ok((out, tasks));
-        }
-
-        // Pass 2: sequential prefix over block totals per segment, on
-        // the host frame in kernel mode (registers dead afterwards).
-        let mut prefixes: Vec<Option<Vec<TVal>>> = vec![None; tasks];
-        let saved = fr.in_kernel;
-        fr.in_kernel = true;
-        let res: Result<()> = (|| {
-            for seg in 0..segments {
-                self.bind_segment(fr, sg, widths, seg as i64)?;
-                let mut running: Vec<TVal> = pass1[seg * blocks].1.clone();
-                for b in 1..blocks {
-                    prefixes[seg * blocks + b] = Some(running.clone());
-                    if b + 1 < blocks {
-                        self.combine(fr, op, &mut running, &pass1[seg * blocks + b].1)?;
-                    }
-                }
-            }
-            Ok(())
-        })();
-        fr.in_kernel = saved;
-        res?;
-
-        // Pass 3: parallel fixup — combine the prefix into every element
-        // of the later blocks.
-        let fixed: Vec<TaskSlot<Vec<VAcc>>> = (0..tasks).map(|_| Mutex::new(None)).collect();
-        let (pass1, prefixes) = (&pass1, &prefixes);
-        let host: &VmFrame = fr;
-        let tag = self.cur_tag.load(Ordering::Relaxed);
-        self.pool.run_tagged(tasks, tag, &|t| {
-            let mut sub = self.task_frame(host);
-            let r = (|| {
-                let (locals, _) = &pass1[t];
-                let Some(prefix) = &prefixes[t] else { return Ok(locals.clone()) };
-                self.bind_segment(&mut sub, sg, widths, (t / blocks) as i64)?;
-                let count = locals.first().map(|a| a.count).unwrap_or(0) as i64;
-                let rows: DimPlan = (locals.iter().zip(&op.rhs))
-                    .map(|(local, &dst)| (Arc::new(local.to_array()), dst))
-                    .collect();
-                let same = Some((&op.accs[..], &prefix[..]));
-                let mut out: Option<Vec<VAcc>> = None;
-                let sink = Some((&op.accs[..], &mut out));
-                self.run_range(&mut sub, op.combine, &rows, same, 0..count, sink)?;
-                out.ok_or_else(|| ExecError("empty segscan fixup".into()))
-            })();
-            *fixed[t].lock().unwrap() = Some(r.map(|accs| (accs, sub.path)));
-        });
-        for slot in fixed {
-            let (accs, path) = take_slot(slot)?;
-            fr.path.extend(path);
-            merge_vaccs(&mut out, accs)?;
-        }
-        Ok((out, tasks))
+        prefix: &[TVal],
+        locals: &[ResultAcc],
+        sink: &mut Accs,
+    ) -> Result<()> {
+        let op = self.operator()?;
+        let count = locals.first().map_or(0, ResultAcc::count) as i64;
+        let rows: DimPlan = (locals.iter().zip(&op.rhs))
+            .map(|(local, &dst)| (Arc::new(local.to_array()), dst))
+            .collect();
+        let same = Some((&op.accs[..], prefix));
+        self.vm.run_range(fr, op.combine, &rows, same, 0..count, Some((&op.accs[..], sink)))
     }
 }
 
@@ -1155,10 +851,12 @@ fn run_cols(op: &Instr, cols: &mut Cols, lanes: Range<usize>) {
 }
 
 /// Append `n` lanes of each result column to the sink, narrowed to the
-/// result's type — what `accumulate_locs` does one element at a time.
-/// `room` sizes a sink created here.
+/// result's type — what [`accumulate`] does one element at a time.
+/// `room` sizes a sink created here. Out of line, so the accumulator
+/// plumbing stays out of `run_leaf`'s strip loop.
+#[inline(never)]
 fn push_cols(
-    out: &mut Option<Vec<VAcc>>,
+    out: &mut Accs,
     locs: &[Loc],
     from: &[u32],
     cols: &Cols,
@@ -1166,127 +864,22 @@ fn push_cols(
     room: usize,
 ) -> Result<()> {
     let accs = out.get_or_insert_with(|| {
-        let new = |l: &Loc| VAcc {
-            elem_shape: vec![],
-            data: Buffer::with_capacity(l.scalar_type().unwrap_or(ScalarType::I64), room),
-            count: 0,
-        };
+        let new = |l: &Loc| ResultAcc::scalars(l.scalar_type().unwrap_or(ScalarType::I64), room);
         locs.iter().map(new).collect()
     });
     for ((acc, l), &c) in accs.iter_mut().zip(locs).zip(from) {
-        if !acc.elem_shape.is_empty() || Some(acc.data.scalar_type()) != l.scalar_type() {
+        let st = acc.scalar_type();
+        if st.is_none() || st != l.scalar_type() {
             return err("result type changed across iterations");
         }
         let c = c as usize;
-        match &mut acc.data {
+        acc.extend_scalars(n, |data| match data {
             Buffer::I64(v) => v.extend_from_slice(&cols.ints[c][..n]),
             Buffer::I32(v) => v.extend(cols.ints[c][..n].iter().map(|&x| x as i32)),
             Buffer::Bool(v) => v.extend(cols.ints[c][..n].iter().map(|&x| x != 0)),
             Buffer::F64(v) => v.extend_from_slice(&cols.flts[c][..n]),
             Buffer::F32(v) => v.extend(cols.flts[c][..n].iter().map(|&x| x as f32)),
-        }
-        acc.count += n;
+        });
     }
     Ok(())
-}
-
-/// The VM's clone of `flat-exec`'s `ResultAcc`: per-result flat buffers
-/// plus the element shape and count.
-#[derive(Clone)]
-pub(crate) struct VAcc {
-    elem_shape: Vec<i64>,
-    data: Buffer,
-    count: usize,
-}
-
-impl VAcc {
-    /// The accumulated points as one array, outermost dimension first.
-    fn to_array(&self) -> ArrayVal {
-        let mut shape = vec![self.count as i64];
-        shape.extend(&self.elem_shape);
-        ArrayVal::new(shape, self.data.clone())
-    }
-
-    fn finish_shaped(self, outer: &[i64]) -> Value {
-        if outer.is_empty() && self.elem_shape.is_empty() {
-            return Value::Scalar(self.data.get(0));
-        }
-        let mut shape = outer.to_vec();
-        shape.extend(&self.elem_shape);
-        Value::Array(ArrayVal::new(shape, self.data))
-    }
-}
-
-/// One result of one point on its way into a [`VAcc`].
-enum Point<'a> {
-    S(Const),
-    A(&'a ArrayVal),
-}
-
-/// Append one point's `n` results onto the accumulators — `flat-exec`'s
-/// `accumulate`, reading each result where it lies.
-fn accumulate<'a>(
-    out: &mut Option<Vec<VAcc>>,
-    n: usize,
-    mut point: impl FnMut(usize) -> Result<Point<'a>>,
-) -> Result<()> {
-    let Some(accs) = out else {
-        let first = |k| {
-            Ok(match point(k)? {
-                Point::S(c) => {
-                    let mut data = Buffer::with_capacity(c.scalar_type(), 16);
-                    data.push(c);
-                    VAcc { elem_shape: vec![], data, count: 1 }
-                }
-                Point::A(a) => VAcc { elem_shape: a.shape.clone(), data: a.data.clone(), count: 1 },
-            })
-        };
-        *out = Some((0..n).map(first).collect::<Result<_>>()?);
-        return Ok(());
-    };
-    if accs.len() != n {
-        return err("result arity changed across iterations");
-    }
-    for (k, acc) in accs.iter_mut().enumerate() {
-        match point(k)? {
-            Point::S(c) if c.scalar_type() == acc.data.scalar_type() => acc.data.push(c),
-            Point::S(_) => return err("result type changed across iterations"),
-            Point::A(a) if a.shape == acc.elem_shape => {
-                acc.data.extend_range(&a.data, 0, a.data.len())
-            }
-            Point::A(a) => {
-                return err(format!(
-                    "irregular parallelism: element shape {:?} vs {:?}",
-                    a.shape, acc.elem_shape
-                ))
-            }
-        }
-        acc.count += 1;
-    }
-    Ok(())
-}
-
-fn merge_vaccs(out: &mut Option<Vec<VAcc>>, accs: Vec<VAcc>) -> Result<()> {
-    match out {
-        None => {
-            *out = Some(accs);
-            Ok(())
-        }
-        Some(cur) => {
-            if cur.len() != accs.len() {
-                return err("result arity changed across chunks");
-            }
-            for (c, a) in cur.iter_mut().zip(accs) {
-                if a.elem_shape != c.elem_shape {
-                    return err(format!(
-                        "irregular parallelism: element shape {:?} vs {:?}",
-                        a.elem_shape, c.elem_shape
-                    ));
-                }
-                c.data.extend_range(&a.data, 0, a.data.len());
-                c.count += a.count;
-            }
-            Ok(())
-        }
-    }
 }

@@ -688,7 +688,7 @@ fn run_bench(rest: &[String], quiet: bool) -> Result<(), CliError> {
             }
             (bench::measure_suite(&dev), dev.name)
         }
-        "exec" => {
+        "exec" | "vm" => {
             let threads: Option<usize> = match option_values(rest, "--threads").next() {
                 None => None,
                 Some(s) => {
@@ -698,27 +698,13 @@ fn run_bench(rest: &[String], quiet: bool) -> Result<(), CliError> {
             let reps = parse_opt_num(rest, "--reps", 3usize)?;
             if !quiet {
                 eprintln!(
-                    "measuring benchmark suite on {} host threads...",
+                    "measuring benchmark suite ({backend} backend) on {} host threads...",
                     threads.unwrap_or_else(exec::default_threads)
                 );
             }
-            (bench::measure_suite_exec(threads, reps, 1), "host")
-        }
-        "vm" => {
-            let threads: Option<usize> = match option_values(rest, "--threads").next() {
-                None => None,
-                Some(s) => {
-                    Some(s.parse().map_err(|e| Usage(format!("bad --threads {s}: {e}")))?)
-                }
-            };
-            let reps = parse_opt_num(rest, "--reps", 3usize)?;
-            if !quiet {
-                eprintln!(
-                    "measuring benchmark suite (vm backend) on {} host threads...",
-                    threads.unwrap_or_else(exec::default_threads)
-                );
-            }
-            (bench::measure_suite_vm(threads, reps, 1), "host")
+            let measure: bench::HostMeasure =
+                if backend == "vm" { vm::measure } else { exec::measure };
+            (bench::measure_suite_host(backend, measure, threads, reps, 1), "host")
         }
         other => {
             return Err(Usage(format!(
@@ -954,7 +940,8 @@ fn run_perf(rest: &[String], quiet: bool) -> Result<(), CliError> {
                     cfg.cap
                 );
             }
-            let report = perf::profile_regret(&fl.prog, &fl.thresholds, entry, &vals, &cfg)
+            let cost = perf::wall_clock(&fl.prog, &vals, &cfg);
+            let report = perf::profile_regret(&fl.thresholds, entry, &vals, &cfg, &cost)
                 .map_err(Fail)?;
             print!("{}", perf::render_regret(&report));
             if let Some(out) = option_values(rest, "--sample-log").next() {

@@ -242,6 +242,35 @@ fn vm_step_counters_say_which_path_ran_and_do_not_perturb_results() {
     }
 }
 
+/// A `segscan` whose segments fit one block each has nothing to
+/// propagate: both tiers dispatch the local scans and stop — `segments`
+/// pool tasks, not twice that.
+#[test]
+fn one_block_segscan_dispatches_each_segment_once() {
+    let _guard = POOL_LOCK.lock().unwrap();
+    let fl = flatten(
+        "def rowscans [n][m] (xss: [n][m]f32): [n][m]f32 =\n  map (\\xs -> scan (+) 0f32 xs) xss\n",
+        "rowscans",
+    );
+    let specs = vec![
+        gpu::AbsValue::known(ir::Const::I64(8)),
+        gpu::AbsValue::known(ir::Const::I64(16)),
+        gpu::AbsValue::array(vec![8, 16], ir::ScalarType::F32),
+    ];
+    let args = exec::materialize(&specs, 7).unwrap();
+    let c = ExecConfig { grain: 16, ..cfg(4) };
+    for (tier, rep) in [
+        ("exec", exec::run_program(&fl.prog, &args, &c).unwrap()),
+        ("vm", vm::run_program(&fl.prog, &args, &c).unwrap()),
+    ] {
+        let [scan] = &rep.launches[..] else { panic!("{tier}: {:?}", rep.launches) };
+        assert_eq!((scan.kind, scan.tasks), ("segscan", 8), "{tier}");
+        let telem = scan.telem.as_ref().expect("telemetry on");
+        assert_eq!(telem.pool.total().tasks, 8, "{tier}: pool tasks");
+        assert_eq!(telem.task_sizes.count, scan.tasks, "{tier}: histogram reads the same split");
+    }
+}
+
 #[test]
 fn sample_log_round_trips_through_the_autotune_loader() {
     let _guard = POOL_LOCK.lock().unwrap();

@@ -73,8 +73,11 @@ fn check_remote_matches_local(
 fn examples_bitwise_identical_to_local_vm() {
     let server = default_server();
     let mut client = Client::connect(server.addr()).unwrap();
-    let cases: [(&str, &str, &[&str]); 3] = [
+    let cases: [(&str, &str, &[&str]); 4] = [
         ("examples/sumrows.fut", "sumrows", &["16", "64", "[16][64]f32"]),
+        // A zero-extent result: a header announcing a chunk that is
+        // never sent would leave this client waiting forever.
+        ("examples/sumrows.fut", "sumrows", &["0", "64", "[0][64]f32"]),
         (
             "examples/matmul.fut",
             "matmul",

@@ -290,10 +290,24 @@ fn regret_identifies_misset_threshold_on_locvolcalib() {
     let cfg = perf::RegretConfig {
         thresholds: mis,
         threads: Some(2),
-        reps: 2,
+        reps: 1,
+        warmup: 0,
         ..perf::RegretConfig::default()
     };
-    let rep = perf::profile_regret(&fl.prog, &fl.thresholds, "locvolcalib", &args, &cfg).unwrap();
+    // A deterministic price read off the launch records, so the verdict
+    // cannot flap with the load of the machine running the suite: every
+    // launch pays a fixed dispatch cost, every task a hand-off, the
+    // points of the space are shared by at most `threads` tasks, and
+    // every guard evaluated on the way is a branch.
+    let modelled = |exec_cfg: &exec::ExecConfig| {
+        let rep = exec::run_program(&fl.prog, &args, exec_cfg)?;
+        let launches: f64 = (rep.launches.iter())
+            .map(|l| 2_000.0 + 200.0 * l.tasks as f64 + l.space / (l.tasks.clamp(1, 2) as f64))
+            .sum();
+        let cost = launches + 50.0 * rep.path.len() as f64;
+        Ok((rep, cost))
+    };
+    let rep = perf::profile_regret(&fl.thresholds, "locvolcalib", &args, &cfg, &modelled).unwrap();
 
     // The live run refused the root comparison...
     assert!(
@@ -308,12 +322,19 @@ fn regret_identifies_misset_threshold_on_locvolcalib() {
     assert!(!top.taken);
     assert!(
         top.regret_ns > 0.0,
-        "refusing outer parallelism must cost wall time:\n{}",
+        "refusing outer parallelism must cost:\n{}",
         perf::render_regret(&rep)
     );
     assert!(top.best_alt_sig.contains(&(root.id.0, true)));
     // The shape regime is recorded with the verdict.
     assert!(rep.shape_class.contains(';'), "{}", rep.shape_class);
+
+    // Wall-clock smoke: the measured sweep completes and sees the same
+    // live decision; which path is fastest today is not asserted.
+    let timed = perf::wall_clock(&fl.prog, &args, &cfg);
+    let rep = perf::profile_regret(&fl.thresholds, "locvolcalib", &args, &cfg, &timed).unwrap();
+    assert!(rep.live_sig.contains(&(root.id.0, false)), "live sig {:?}", rep.live_sig);
+    assert!(rep.alternatives.iter().all(|a| a.wall_ns > 0.0));
 }
 
 /// Regret sweeps double as autotuning samples: the emitted log lines
@@ -336,7 +357,8 @@ fn regret_samples_warm_start_the_tuner() {
         warmup: 0,
         ..perf::RegretConfig::default()
     };
-    let rep = perf::profile_regret(&fl.prog, &fl.thresholds, "sumrows", &args, &cfg).unwrap();
+    let timed = perf::wall_clock(&fl.prog, &args, &cfg);
+    let rep = perf::profile_regret(&fl.thresholds, "sumrows", &args, &cfg, &timed).unwrap();
     assert!(!rep.alternatives.is_empty());
 
     let dir = tmp_dir("warmstart");

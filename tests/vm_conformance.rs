@@ -151,6 +151,22 @@ fn check_conformance(name: &str, fl: &compiler::Flattened, args: &[Value]) {
                 "{name}: vm live path {:?} not in the threshold tree",
                 vrep.signature()
             );
+            // Both tiers run the one decomposition, so everything it
+            // records is equal too: every comparison (id, par, outcome,
+            // order) and every launch's identity and split.
+            let at = format!("{name}: grain {grain}, {threads} threads");
+            let cmps = |r: &ExecReport| -> Vec<(u32, i64, bool)> {
+                r.path.iter().map(|c| (c.id.0, c.par, c.taken)).collect()
+            };
+            assert_eq!(cmps(&vrep), cmps(&erep), "{at}: comparison records differ");
+            assert_eq!(vrep.launches.len(), erep.launches.len(), "{at}: launch counts differ");
+            for (v, e) in vrep.launches.iter().zip(&erep.launches) {
+                assert_eq!(
+                    (&v.name, v.kind, v.level, v.space, v.tasks, &v.widths, &v.path),
+                    (&e.name, e.kind, e.level, e.space, e.tasks, &e.widths, &e.path),
+                    "{at}: launch records differ"
+                );
+            }
 
             // And the VM is deterministic across thread counts on its
             // own terms, like the executor.
