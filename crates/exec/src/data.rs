@@ -16,8 +16,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Turn abstract argument descriptions into concrete values, filling
-/// array buffers from a deterministic PRNG. Fails on unknown scalars or
-/// negative dimensions — execution needs every value concrete.
+/// array buffers from a deterministic PRNG. Fails on unknown scalars,
+/// negative dimensions, or an element count past `i64` — execution
+/// needs every value concrete.
 pub fn materialize(args: &[AbsValue], seed: u64) -> Result<Vec<Value>, ExecError> {
     let mut rng = StdRng::seed_from_u64(seed);
     args.iter()
@@ -33,10 +34,12 @@ pub fn materialize(args: &[AbsValue], seed: u64) -> Result<Vec<Value>, ExecError
                         "argument {i}: negative dimension in shape {shape:?}"
                     )));
                 }
-                let n = shape.iter().product::<i64>() as usize;
+                let n = shape.iter().try_fold(1i64, |n, &d| n.checked_mul(d)).ok_or_else(|| {
+                    ExecError(format!("argument {i}: element count of shape {shape:?} overflows"))
+                })?;
                 Ok(Value::Array(ArrayVal::new(
                     shape.clone(),
-                    fill(*elem, n, &mut rng),
+                    fill(*elem, n as usize, &mut rng),
                 )))
             }
         })
@@ -80,5 +83,14 @@ mod tests {
     fn unknown_scalar_is_an_error() {
         let e = materialize(&[AbsValue::Scalar(None)], 0).unwrap_err();
         assert!(e.0.contains("unknown scalar"), "{e}");
+    }
+
+    #[test]
+    fn overflowing_shapes_are_errors() {
+        // The first wraps negative, the second wraps to exactly 0.
+        for d in [3_037_000_500i64, 1 << 32] {
+            let e = materialize(&[AbsValue::array(vec![d, d], ScalarType::F32)], 0).unwrap_err();
+            assert!(e.0.contains("overflows"), "{e}");
+        }
     }
 }

@@ -6,7 +6,10 @@
 //! [`flat_ir::value::Value`]s bitwise-identical to a local run.
 
 use crate::proto::{self, FrameError, ResultAssembly, ServiceError};
+use flat_exec::ExecConfig;
+use flat_ir::interp::Thresholds;
 use flat_ir::value::Value as RunValue;
+use incflat::ThresholdRegistry;
 use flat_obs::json::Value;
 use std::io::{BufReader, BufWriter};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -235,9 +238,14 @@ impl Client {
     }
 }
 
-/// All the knobs an `exec` request can carry; `Default` leaves the
-/// daemon's own defaults in force.
-#[derive(Clone, Debug, Default)]
+/// The data seed of a request that names none.
+pub const DEFAULT_DATA_SEED: u64 = 42;
+
+/// One run request: all the knobs an `exec` request can carry, and the
+/// one place they become concrete arguments and an `ExecConfig` — for
+/// the daemon and for `flatc exec`/`perf regret`/`--check-local` alike.
+/// `Default` leaves the daemon's own defaults in force.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct ExecSpec {
     /// Program source; mutually exclusive with `program`.
     pub source: Option<String>,
@@ -254,6 +262,86 @@ pub struct ExecSpec {
     /// Named threshold overrides.
     pub thresholds: Vec<(String, i64)>,
     pub deadline_ms: Option<u64>,
+}
+
+impl ExecSpec {
+    /// The inverse of [`exec_request`], minus `source`: the program text
+    /// stays in the frame, where the compile cache reads it. Wrongly
+    /// typed fields are `proto` errors.
+    pub fn from_request(req: &Value) -> std::result::Result<ExecSpec, ServiceError> {
+        let bad = |m: &str| ServiceError::new("proto", m);
+        let str_of = |k: &str| req.get(k).and_then(Value::as_str).map(str::to_string);
+        let u64_of = |k: &str| req.get(k).and_then(Value::as_u64);
+        let args = match req.get("args").and_then(Value::as_array) {
+            None => Vec::new(),
+            Some(a) => a
+                .iter()
+                .map(|v| v.as_str().map(str::to_string))
+                .collect::<Option<_>>()
+                .ok_or_else(|| bad("args must be strings"))?,
+        };
+        let thresholds = match req.get("thresholds").and_then(Value::as_object) {
+            None => Vec::new(),
+            Some(o) => o
+                .iter()
+                .map(|(name, v)| Some((name.clone(), v.as_i64()?)))
+                .collect::<Option<_>>()
+                .ok_or_else(|| bad("threshold values are ints"))?,
+        };
+        Ok(ExecSpec {
+            source: None,
+            program: str_of("program"),
+            entry: str_of("entry").unwrap_or_default(),
+            args,
+            data_seed: u64_of("data_seed"),
+            threads: u64_of("threads"),
+            grain: u64_of("grain"),
+            tuning: str_of("tuning"),
+            thresholds,
+            deadline_ms: u64_of("deadline_ms"),
+        })
+    }
+
+    /// The threshold assignment: the `tuning` text, then the named
+    /// overrides on top.
+    pub fn thresholds(
+        &self,
+        registry: &ThresholdRegistry,
+    ) -> std::result::Result<Thresholds, String> {
+        let mut t = match &self.tuning {
+            Some(text) => incflat::read_tuning(registry, text)?,
+            None => Thresholds::new(),
+        };
+        for (name, v) in &self.thresholds {
+            let info = registry
+                .iter()
+                .find(|i| &i.name == name)
+                .ok_or_else(|| format!("unknown threshold {name}"))?;
+            t.set(info.id, *v);
+        }
+        Ok(t)
+    }
+
+    /// The run's arguments, materialized from `args` and `data_seed`,
+    /// and its configuration; `default_threads` applies when the spec
+    /// names no thread count.
+    pub fn resolve(
+        &self,
+        registry: &ThresholdRegistry,
+        default_threads: Option<usize>,
+    ) -> std::result::Result<(Vec<RunValue>, ExecConfig), String> {
+        let abs: Vec<_> =
+            self.args.iter().map(|s| s.parse()).collect::<std::result::Result<_, _>>()?;
+        let seed = self.data_seed.unwrap_or(DEFAULT_DATA_SEED);
+        let vals = flat_exec::materialize(&abs, seed).map_err(|e| e.0)?;
+        let cfg = ExecConfig {
+            thresholds: self.thresholds(registry)?,
+            threads: self.threads.map(|n| n as usize).or(default_threads),
+            grain: self.grain.map_or(flat_exec::DEFAULT_GRAIN, |n| n as usize),
+            ..ExecConfig::default()
+        };
+        Ok((vals, cfg))
+    }
 }
 
 /// Build the wire frame for an exec request.

@@ -501,36 +501,9 @@ impl ResultAssembly {
     }
 }
 
-/// `1024` → i64 scalar; `[16][256]f32` → abstract array shape; `3.5` →
-/// f32 — the same argument grammar `flatc --arg` accepts, shared so the
-/// daemon materializes exactly what a local run would.
+/// One `--arg` spec; the grammar is `gpu_sim::AbsValue`'s `FromStr`.
 pub fn parse_abs_value(spec: &str) -> Result<gpu_sim::AbsValue, String> {
-    let spec = spec.trim();
-    if let Some(stripped) = spec.strip_prefix('[') {
-        let mut dims = Vec::new();
-        let mut rest = stripped;
-        loop {
-            let (dim, after) =
-                rest.split_once(']').ok_or_else(|| format!("bad array spec `{spec}`"))?;
-            dims.push(dim.parse::<i64>().map_err(|e| format!("`{spec}`: {e}"))?);
-            if let Some(inner) = after.strip_prefix('[') {
-                rest = inner;
-            } else {
-                let elem = match after {
-                    "f32" | "" => ScalarType::F32,
-                    other => scalar_type_of(other)?,
-                };
-                return Ok(gpu_sim::AbsValue::array(dims, elem));
-            }
-        }
-    }
-    if let Ok(n) = spec.parse::<i64>() {
-        return Ok(gpu_sim::AbsValue::known(Const::I64(n)));
-    }
-    if let Ok(x) = spec.parse::<f32>() {
-        return Ok(gpu_sim::AbsValue::known(Const::F32(x)));
-    }
-    Err(format!("cannot parse argument `{spec}`"))
+    spec.parse()
 }
 
 /// Shorthand: the name of a scalar type as it appears on the wire.
@@ -658,6 +631,7 @@ mod tests {
         for v in cases {
             let spec = abs_value_spec(&v).unwrap();
             assert_eq!(parse_abs_value(&spec).unwrap(), v, "spec `{spec}`");
+            assert_eq!(spec.parse::<gpu_sim::AbsValue>().unwrap(), v, "spec `{spec}`");
         }
         assert!(abs_value_spec(&gpu_sim::AbsValue::unknown()).is_err());
     }

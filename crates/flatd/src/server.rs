@@ -16,6 +16,7 @@
 
 use crate::admit::{AdmitQueue, Job};
 use crate::cache::{self, CompileCache, SampleStore, TuneKey, TunedEntry, TuningCache};
+use crate::client::{ExecSpec, DEFAULT_DATA_SEED};
 use crate::proto::{self, FrameError, ServiceError};
 use flat_obs::json::Value;
 use std::io::{BufReader, BufWriter, Write};
@@ -71,6 +72,9 @@ pub struct Daemon {
     pub tuning: TuningCache,
     pub samples: SampleStore,
     pub admit: AdmitQueue,
+    /// Executor threads: `cfg.threads` or the process default, fixed at
+    /// start. Requests may ask for at most this many.
+    threads: usize,
     addr: SocketAddr,
     started: Instant,
     conns_total: AtomicU64,
@@ -98,6 +102,7 @@ pub fn start(cfg: ServerConfig) -> std::io::Result<ServerHandle> {
         tuning: TuningCache::new(),
         samples: SampleStore::new(),
         admit: AdmitQueue::new(cfg.queue),
+        threads: cfg.threads.unwrap_or_else(flat_exec::default_threads),
         addr,
         started: Instant::now(),
         conns_total: AtomicU64::new(0),
@@ -341,7 +346,7 @@ impl Daemon {
         Value::object(vec![
             ("type", Value::from("status")),
             ("uptime_ms", Value::from(self.started.elapsed().as_millis() as u64)),
-            ("threads", Value::from(self.cfg.threads.unwrap_or_else(flat_exec::default_threads))),
+            ("threads", Value::from(self.threads)),
             (
                 "requests",
                 Value::object(vec![
@@ -426,60 +431,19 @@ impl Daemon {
 
     fn serve_exec(&self, job: &Job) -> Result<(), ServiceError> {
         let req = &job.req;
+        let spec = ExecSpec::from_request(req)?;
+        // Each distinct count is a process-lifetime pool of that many
+        // OS threads: a client may pick fewer than the daemon has, never more.
+        if let Some(n) = spec.threads.filter(|&n| n == 0 || n > self.threads as u64) {
+            return Err(ServiceError::new(
+                "fail",
+                format!("threads {n} outside 1..={}", self.threads),
+            ));
+        }
         let (prog, cached) = self.resolve_program(req)?;
-        let specs: Vec<String> = req
-            .get("args")
-            .and_then(Value::as_array)
-            .map(|a| {
-                a.iter()
-                    .map(|v| v.as_str().map(str::to_string))
-                    .collect::<Option<Vec<_>>>()
-            })
-            .unwrap_or(Some(Vec::new()))
-            .ok_or_else(|| ServiceError::new("proto", "args must be strings"))?;
-        let abs: Vec<gpu_sim::AbsValue> = specs
-            .iter()
-            .map(|s| proto::parse_abs_value(s))
-            .collect::<Result<_, _>>()
+        let (vals, cfg) = spec
+            .resolve(&prog.flattened.thresholds, self.cfg.threads)
             .map_err(|e| ServiceError::new("fail", e))?;
-        let seed = req.get("data_seed").and_then(Value::as_u64).unwrap_or(42);
-        let vals =
-            flat_exec::materialize(&abs, seed).map_err(|e| ServiceError::new("fail", e.0))?;
-
-        let registry = &prog.flattened.thresholds;
-        let mut thresholds = flat_ir::interp::Thresholds::new();
-        if let Some(text) = req.get("tuning").and_then(Value::as_str) {
-            thresholds = incflat::read_tuning(registry, text)
-                .map_err(|e| ServiceError::new("fail", e))?;
-        }
-        if let Some(overrides) = req.get("thresholds").and_then(Value::as_object) {
-            for (name, v) in overrides {
-                let info = registry
-                    .iter()
-                    .find(|i| &i.name == name)
-                    .ok_or_else(|| {
-                        ServiceError::new("fail", format!("unknown threshold {name}"))
-                    })?;
-                let value = v
-                    .as_i64()
-                    .ok_or_else(|| ServiceError::new("proto", "threshold values are ints"))?;
-                thresholds.set(info.id, value);
-            }
-        }
-        let cfg = flat_exec::ExecConfig {
-            thresholds,
-            threads: req
-                .get("threads")
-                .and_then(Value::as_u64)
-                .map(|n| n as usize)
-                .or(self.cfg.threads),
-            grain: req
-                .get("grain")
-                .and_then(Value::as_u64)
-                .map(|n| n as usize)
-                .unwrap_or(flat_exec::DEFAULT_GRAIN),
-            ..flat_exec::ExecConfig::default()
-        };
         let rep = flat_vm::run_compiled(&prog.compiled, &vals, &cfg)
             .map_err(|e| ServiceError::new("fail", e.0))?;
 
@@ -544,10 +508,10 @@ impl Daemon {
             return Err(ServiceError::new("fail", "tune needs at least one dataset"));
         }
         let reps = req.get("reps").and_then(Value::as_u64).unwrap_or(3) as usize;
-        let seed = req.get("data_seed").and_then(Value::as_u64).unwrap_or(42);
+        let seed = req.get("data_seed").and_then(Value::as_u64).unwrap_or(DEFAULT_DATA_SEED);
         let max_candidates =
             req.get("max_candidates").and_then(Value::as_u64).unwrap_or(60) as usize;
-        let threads = self.cfg.threads.unwrap_or_else(flat_exec::default_threads);
+        let threads = self.threads;
 
         let key = TuneKey {
             device: format!("host/{threads}"),
@@ -561,38 +525,18 @@ impl Daemon {
 
         let mut datasets = Vec::new();
         for (i, specs) in datasets_spec.iter().enumerate() {
-            let abs: Vec<gpu_sim::AbsValue> = specs
+            let abs = specs
                 .iter()
-                .map(|s| proto::parse_abs_value(s))
+                .map(|s| s.parse())
                 .collect::<Result<_, _>>()
                 .map_err(|e| ServiceError::new("fail", e))?;
             datasets.push(autotune::Dataset::new(format!("d{i}"), abs));
         }
         let fl = &prog.flattened;
         let compiled = &prog.compiled;
-        let dev = flat_exec::host_device(threads);
-        let problem = autotune::TuningProblem::new(fl, datasets, dev).with_runner(
-            move |d: &autotune::Dataset, t: &flat_ir::interp::Thresholds| {
-                let vals = flat_exec::materialize(&d.args, seed)
-                    .map_err(|e| gpu_sim::SimError(e.0))?;
-                let cfg = flat_exec::ExecConfig {
-                    thresholds: t.clone(),
-                    threads: Some(threads),
-                    ..flat_exec::ExecConfig::default()
-                };
-                let mut walls = Vec::with_capacity(reps.max(1));
-                let mut last = None;
-                for _ in 0..reps.max(1) {
-                    let rep = flat_vm::run_compiled(compiled, &vals, &cfg)
-                        .map_err(|e| gpu_sim::SimError(e.0))?;
-                    walls.push(rep.wall_nanos);
-                    last = Some(rep);
-                }
-                walls.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-                let median = walls[walls.len() / 2];
-                Ok(flat_exec::sim_report_of(&last.expect("reps >= 1"), median))
-            },
-        );
+        let run = move |a: &_, c: &_| flat_vm::run_compiled(compiled, a, c);
+        let problem = autotune::TuningProblem::new(fl, datasets, flat_exec::host_device(threads))
+            .with_runner(flat_perf::tuning_runner(run, seed, Some(threads), reps));
         let warm_start = self.samples.warm_start(&prog.hash, &fl.thresholds);
         let warm = warm_start.is_some();
         let tuner = autotune::StochasticTuner {

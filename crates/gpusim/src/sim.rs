@@ -116,6 +116,45 @@ impl AbsValue {
     }
 }
 
+/// The argument grammar of `flatc --arg` and of a served request's
+/// `args`, defined once: `1024` → i64 scalar; `[16][256]f32` → array
+/// shape (element type `f32` when omitted); `3.5` → f32 scalar.
+impl std::str::FromStr for AbsValue {
+    type Err = String;
+
+    fn from_str(spec: &str) -> std::result::Result<AbsValue, String> {
+        let spec = spec.trim();
+        if let Some(mut rest) = spec.strip_prefix('[') {
+            let mut dims = Vec::new();
+            loop {
+                let (dim, after) =
+                    rest.split_once(']').ok_or_else(|| format!("bad array spec `{spec}`"))?;
+                dims.push(dim.parse::<i64>().map_err(|e| format!("`{spec}`: {e}"))?);
+                if let Some(inner) = after.strip_prefix('[') {
+                    rest = inner;
+                    continue;
+                }
+                let elem = match after {
+                    "f32" | "" => ScalarType::F32,
+                    "f64" => ScalarType::F64,
+                    "i32" => ScalarType::I32,
+                    "i64" => ScalarType::I64,
+                    "bool" => ScalarType::Bool,
+                    other => return Err(format!("unknown element type `{other}`")),
+                };
+                return Ok(AbsValue::array(dims, elem));
+            }
+        }
+        if let Ok(n) = spec.parse::<i64>() {
+            return Ok(AbsValue::known(Const::I64(n)));
+        }
+        if let Ok(x) = spec.parse::<f32>() {
+            return Ok(AbsValue::known(Const::F32(x)));
+        }
+        Err(format!("cannot parse argument `{spec}`"))
+    }
+}
+
 /// Simulation error.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimError(pub String);

@@ -44,5 +44,6 @@ pub use archive::{
 pub use diff::{diff_records, folded_diff, render_diff, AttrDiff, DiffRow};
 pub use regret::{
     append_regret_samples, dataset_shape_class, profile_regret, regret_sample_lines,
-    render_regret, wall_clock, AlternativeRun, CostFn, DecisionRegret, RegretConfig, RegretReport,
+    render_regret, tuning_runner, wall_clock, AlternativeRun, CostFn, DecisionRegret,
+    RegretConfig, RegretReport,
 };

@@ -10,8 +10,8 @@
 //! the table versus the best alternative that flips it?
 //!
 //! The method is counterfactual re-execution. The program first runs
-//! live on the executor backend to observe the chosen path and its
-//! wall time; then every distinct version path of the branching tree
+//! live on the VM to observe the chosen path and its wall time; then
+//! every distinct version path of the branching tree
 //! (enumerated by the fuzz oracle's [`enumerate_assignments`], capped)
 //! is *forced* — threshold set to `0` to take a comparison, `i64::MAX`
 //! to refuse it, the same idiom the differential fuzzer uses — and
@@ -28,12 +28,14 @@
 //! sample-log schema, so `autotune::samples::warm_start` can seed an
 //! online tuner (ROADMAP item 3) from a single regret run.
 
+use autotune::Dataset;
 use flat_exec::{shape_class, ExecConfig, ExecError, ExecReport};
 use flat_fuzz::oracle::enumerate_assignments;
-use flat_ir::ast::Program;
 use flat_ir::interp::Thresholds;
 use flat_ir::value::Value as DataValue;
 use flat_obs::json::Value;
+use flat_vm::CompiledProgram;
+use gpu_sim::{SimError, SimReport};
 use incflat::ThresholdRegistry;
 use std::fmt::Write as _;
 
@@ -157,17 +159,53 @@ fn forced(base: &Thresholds, asg: &[(flat_ir::ast::ThresholdId, bool)]) -> Thres
 /// `Runner::Custom`: [`wall_clock`] measures, a test can compute.
 pub type CostFn<'a> = dyn Fn(&ExecConfig) -> Result<(ExecReport, f64), ExecError> + 'a;
 
-/// The measured cost: median wall clock of `cfg.reps` runs of `prog` on
-/// the tree-walking tier after `cfg.warmup` untimed ones.
+/// The one measured cost behind every sweep and tuner: the median wall
+/// clock, nanoseconds, of `reps` runs after `warmup` untimed ones. `run`
+/// is a tier over a program the caller compiled once, so nothing
+/// compiles per evaluation.
+fn measured<R>(
+    run: &R,
+    args: &[DataValue],
+    cfg: &ExecConfig,
+    reps: usize,
+    warmup: usize,
+) -> Result<(ExecReport, f64), ExecError>
+where
+    R: Fn(&[DataValue], &ExecConfig) -> Result<ExecReport, ExecError>,
+{
+    flat_exec::measure_with(|| run(args, cfg), reps, warmup).map(|(rep, m)| (rep, m.median_nanos))
+}
+
+/// The measured cost over the VM: `cfg.reps` runs of `prog` after
+/// `cfg.warmup` untimed ones.
 pub fn wall_clock<'a>(
-    prog: &'a Program,
+    prog: &'a CompiledProgram,
     args: &'a [DataValue],
     cfg: &RegretConfig,
 ) -> impl Fn(&ExecConfig) -> Result<(ExecReport, f64), ExecError> + 'a {
     let (reps, warmup) = (cfg.reps, cfg.warmup);
-    move |exec_cfg| {
-        flat_exec::measure(prog, args, exec_cfg, reps, warmup)
-            .map(|(rep, m)| (rep, m.median_nanos))
+    let run = move |a: &[DataValue], c: &ExecConfig| flat_vm::run_compiled(prog, a, c);
+    move |exec_cfg| measured(&run, args, exec_cfg, reps, warmup)
+}
+
+/// The measured cost as an autotuner runner, shared by `flatc tune --backend
+/// exec|vm` and the daemon's `tune`: each evaluation materializes the
+/// dataset from `seed`, runs one warm-up, then reports the median of
+/// `reps` timed runs as "cycles" (nanoseconds on the 1 GHz host device).
+pub fn tuning_runner<'a, R>(
+    run: R,
+    seed: u64,
+    threads: Option<usize>,
+    reps: usize,
+) -> impl Fn(&Dataset, &Thresholds) -> Result<SimReport, SimError> + Sync + 'a
+where
+    R: Fn(&[DataValue], &ExecConfig) -> Result<ExecReport, ExecError> + Sync + 'a,
+{
+    move |d: &Dataset, t: &Thresholds| {
+        let vals = flat_exec::materialize(&d.args, seed).map_err(|e| SimError(e.0))?;
+        let cfg = ExecConfig { thresholds: t.clone(), threads, ..ExecConfig::default() };
+        let (rep, nanos) = measured(&run, &vals, &cfg, reps, 1).map_err(|e| SimError(e.0))?;
+        Ok(flat_exec::sim_report_of(&rep, nanos))
     }
 }
 

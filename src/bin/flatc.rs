@@ -306,8 +306,10 @@ fn run(args: &[String], quiet: bool) -> Result<(), CliError> {
                 }
             }
             let dev = parse_device(rest).map_err(Usage)?;
-            let vals = parse_args(rest).map_err(Usage)?;
-            let thresholds = load_thresholds(rest, &fl.thresholds)?;
+            let spec = exec_spec(rest)?;
+            let vals: Vec<gpu::AbsValue> =
+                spec.args.iter().map(|s| s.parse()).collect::<Result<_, _>>().map_err(Usage)?;
+            let thresholds = spec.thresholds(&fl.thresholds).map_err(Fail)?;
             let rep = gpu::simulate(&fl.prog, &vals, &thresholds, &dev)
                 .map_err(|e| Fail(e.to_string()))?;
             println!("device:        {}", dev.name);
@@ -364,8 +366,8 @@ fn run(args: &[String], quiet: bool) -> Result<(), CliError> {
             }
             if let Some(path) = archive_path(rest) {
                 let mut rec =
-                    perf::from_sim(entry, Some(file), &src, &arg_specs(rest), &rep, &fl.prog.prov, &dev);
-                rec.tuning_hash = tuning_hash(rest)?;
+                    perf::from_sim(entry, Some(file), &src, &spec.args, &rep, &fl.prog.prov, &dev);
+                rec.tuning_hash = spec.tuning.as_deref().map(perf::content_hash);
                 archive_append(path, &mut rec, quiet)?;
             }
             Ok(())
@@ -383,19 +385,11 @@ fn run(args: &[String], quiet: bool) -> Result<(), CliError> {
                 print!("{}", vm::disasm(&compiled));
                 return Ok(());
             }
-            let specs = parse_args(rest).map_err(Usage)?;
-            let seed = parse_opt_num(rest, "--data-seed", 42u64)?;
-            let vals = exec::materialize(&specs, seed).map_err(|e| Fail(e.to_string()))?;
-            let thresholds = load_thresholds(rest, &fl.thresholds)?;
-            let threads = option_values(rest, "--threads")
-                .next()
-                .map(|s| s.parse::<usize>().map_err(|e| Usage(format!("bad --threads {s}: {e}"))))
-                .transpose()?;
+            let spec = exec_spec(rest)?;
+            let (vals, mut cfg) = spec.resolve(&fl.thresholds, None).map_err(Fail)?;
             let worker_trace = option_values(rest, "--worker-trace").next();
             let sample_log = option_values(rest, "--sample-log").next();
             let exec_report = rest.iter().any(|a| a == "--exec-report");
-            let mut cfg = exec::ExecConfig { thresholds, threads, ..exec::ExecConfig::default() };
-            cfg.grain = parse_opt_num(rest, "--grain", cfg.grain)?;
             cfg.worker_trace = worker_trace.is_some();
             cfg.telemetry =
                 exec_report || sample_log.is_some() || exec::telemetry_requested_by_env();
@@ -482,13 +476,13 @@ fn run(args: &[String], quiet: bool) -> Result<(), CliError> {
                     entry,
                     Some(file),
                     &src,
-                    &arg_specs(rest),
+                    &spec.args,
                     &rep,
                     m.median_nanos,
                     reps,
                     &fl.prog.prov,
                 );
-                rec.tuning_hash = tuning_hash(rest)?;
+                rec.tuning_hash = spec.tuning.as_deref().map(perf::content_hash);
                 archive_append(path, &mut rec, quiet)?;
             }
             Ok(())
@@ -496,12 +490,7 @@ fn run(args: &[String], quiet: bool) -> Result<(), CliError> {
         "tune" => {
             let fl = compiler::flatten_incremental(&prog).map_err(|e| Fail(e.to_string()))?;
             let backend = option_values(rest, "--backend").next().unwrap_or("sim");
-            let threads: Option<usize> = match option_values(rest, "--threads").next() {
-                None => None,
-                Some(s) => {
-                    Some(s.parse().map_err(|e| Usage(format!("bad --threads {s}: {e}")))?)
-                }
-            };
+            let threads: Option<usize> = opt_num(rest, "--threads")?;
             let dev = match backend {
                 "sim" => parse_device(rest).map_err(Usage)?,
                 "exec" | "vm" => {
@@ -515,38 +504,27 @@ fn run(args: &[String], quiet: bool) -> Result<(), CliError> {
             };
             let mut datasets = Vec::new();
             for (i, spec) in option_values(rest, "--dataset").enumerate() {
-                let parts: Vec<String> = spec.split(',').map(str::to_string).collect();
-                let vals = parse_arg_list(&parts).map_err(Usage)?;
-                datasets.push(tuning::Dataset::new(format!("d{i}"), vals));
+                let vals = spec.split(',').map(str::parse).collect::<Result<_, _>>();
+                datasets.push(tuning::Dataset::new(format!("d{i}"), vals.map_err(Usage)?));
             }
             if datasets.is_empty() {
                 return Err(Usage("tune needs at least one --dataset".into()));
             }
-            let mut problem = tuning::TuningProblem::new(&fl, datasets, dev);
-            let seed = parse_opt_num(rest, "--data-seed", 42u64)?;
+            let seed = parse_opt_num(rest, "--data-seed", serve::client::DEFAULT_DATA_SEED)?;
             let reps = parse_opt_num(rest, "--reps", 3usize)?;
-            if backend == "exec" || backend == "vm" {
-                // Measured cost function: materialize each dataset's
-                // abstract args once per evaluation and report the
-                // median wall-clock in nanoseconds as "cycles" (the
-                // host device's 1 GHz clock makes cycles_to_us the
-                // ns→µs conversion). The vm backend times the bytecode
-                // tier instead of the tree-walking executor; paths and
-                // launch records are identical, only the time differs.
-                let prog_ref = &fl.prog;
-                let measure_fn = if backend == "vm" { vm::measure } else { exec::measure };
-                problem = problem.with_runner(move |d, t| {
-                    let vals =
-                        exec::materialize(&d.args, seed).map_err(|e| gpu::SimError(e.0))?;
-                    let cfg = exec::ExecConfig {
-                        thresholds: t.clone(),
-                        threads,
-                        ..exec::ExecConfig::default()
-                    };
-                    let (rep, m) = measure_fn(prog_ref, &vals, &cfg, reps, 1)
-                        .map_err(|e| gpu::SimError(e.0))?;
-                    Ok(exec::sim_report_of(&rep, m.median_nanos))
-                });
+            // Measured backends price each evaluation by wall clock over
+            // a program compiled once, here.
+            let compiled = match backend {
+                "vm" => Some(vm::compile(&fl.prog).map_err(|e| Fail(e.to_string()))?),
+                _ => None,
+            };
+            let mut problem = tuning::TuningProblem::new(&fl, datasets, dev);
+            if let Some(compiled) = &compiled {
+                let run = move |a: &_, c: &_| vm::run_compiled(compiled, a, c);
+                problem = problem.with_runner(perf::tuning_runner(run, seed, threads, reps));
+            } else if backend == "exec" {
+                let run = |a: &_, c: &_| exec::run_program(&fl.prog, a, c);
+                problem = problem.with_runner(perf::tuning_runner(run, seed, threads, reps));
             }
             let result = if rest.iter().any(|a| a == "--exhaustive") {
                 tuning::exhaustive_tune(&problem, 1 << 20)
@@ -674,12 +652,7 @@ fn run_bench(rest: &[String], quiet: bool) -> Result<(), CliError> {
     let path = option_values(rest, "--baseline")
         .next()
         .unwrap_or("results/baseline/baseline.json");
-    let tolerance: f64 = match option_values(rest, "--tolerance").next() {
-        None => 2.0,
-        Some(s) => s
-            .parse()
-            .map_err(|e| Usage(format!("bad --tolerance {s}: {e}")))?,
-    };
+    let tolerance = parse_opt_num(rest, "--tolerance", 2.0f64)?;
     let (current, device_label) = match backend {
         "sim" => {
             let dev = parse_device(rest).map_err(Usage)?;
@@ -689,12 +662,7 @@ fn run_bench(rest: &[String], quiet: bool) -> Result<(), CliError> {
             (bench::measure_suite(&dev), dev.name)
         }
         "exec" | "vm" => {
-            let threads: Option<usize> = match option_values(rest, "--threads").next() {
-                None => None,
-                Some(s) => {
-                    Some(s.parse().map_err(|e| Usage(format!("bad --threads {s}: {e}")))?)
-                }
-            };
+            let threads: Option<usize> = opt_num(rest, "--threads")?;
             let reps = parse_opt_num(rest, "--reps", 3usize)?;
             if !quiet {
                 eprintln!(
@@ -747,18 +715,9 @@ fn run_bench(rest: &[String], quiet: bool) -> Result<(), CliError> {
 /// replays the committed corpus (`--corpus`, default `tests/corpus`),
 /// then runs a fresh campaign; shrunk failures land in `--failures`.
 fn run_fuzz(rest: &[String], quiet: bool) -> Result<(), CliError> {
-    let parse_num = |flag: &str, default: usize| -> Result<usize, CliError> {
-        match option_values(rest, flag).next() {
-            None => Ok(default),
-            Some(s) => s.parse().map_err(|e| Usage(format!("bad {flag} {s}: {e}"))),
-        }
-    };
-    let iters = parse_num("--iters", 200)?;
-    let seed = match option_values(rest, "--seed").next() {
-        None => 0u64,
-        Some(s) => s.parse().map_err(|e| Usage(format!("bad --seed {s}: {e}")))?,
-    };
-    let max_failures = parse_num("--max-failures", 5)?;
+    let iters = parse_opt_num(rest, "--iters", 200usize)?;
+    let seed = parse_opt_num(rest, "--seed", 0u64)?;
+    let max_failures = parse_opt_num(rest, "--max-failures", 5usize)?;
     let corpus_dir = option_values(rest, "--corpus").next().unwrap_or("tests/corpus");
     let failures_dir = option_values(rest, "--failures")
         .next()
@@ -917,19 +876,11 @@ fn run_perf(rest: &[String], quiet: bool) -> Result<(), CliError> {
             let prog = lang::compile_sprogram(&sprog, entry)
                 .map_err(|e| Type(format!("{file}: {e}")))?;
             let fl = compiler::flatten_incremental(&prog).map_err(|e| Fail(e.to_string()))?;
-            let specs = parse_args(rest).map_err(Usage)?;
-            let seed = parse_opt_num(rest, "--data-seed", 42u64)?;
-            let vals = exec::materialize(&specs, seed).map_err(|e| Fail(e.to_string()))?;
-            let threads = match option_values(rest, "--threads").next() {
-                None => None,
-                Some(s) => {
-                    Some(s.parse().map_err(|e| Usage(format!("bad --threads {s}: {e}")))?)
-                }
-            };
+            let (vals, run) = exec_spec(rest)?.resolve(&fl.thresholds, None).map_err(Fail)?;
             let cfg = perf::RegretConfig {
-                thresholds: load_thresholds(rest, &fl.thresholds)?,
-                threads,
-                grain: parse_opt_num(rest, "--grain", exec::DEFAULT_GRAIN)?,
+                thresholds: run.thresholds,
+                threads: run.threads,
+                grain: run.grain,
                 reps: parse_opt_num(rest, "--reps", 3usize)?,
                 warmup: parse_opt_num(rest, "--warmup", 1usize)?,
                 cap: parse_opt_num(rest, "--cap", 64usize)?,
@@ -940,7 +891,8 @@ fn run_perf(rest: &[String], quiet: bool) -> Result<(), CliError> {
                     cfg.cap
                 );
             }
-            let cost = perf::wall_clock(&fl.prog, &vals, &cfg);
+            let compiled = vm::compile(&fl.prog).map_err(|e| Fail(e.to_string()))?;
+            let cost = perf::wall_clock(&compiled, &vals, &cfg);
             let report = perf::profile_regret(&fl.thresholds, entry, &vals, &cfg, &cost)
                 .map_err(Fail)?;
             print!("{}", perf::render_regret(&report));
@@ -982,18 +934,6 @@ fn arg_specs(args: &[String]) -> Vec<String> {
     option_values(args, "--arg").map(str::to_string).collect()
 }
 
-/// Content hash of the `--tuning` file, if one was given.
-fn tuning_hash(rest: &[String]) -> Result<Option<String>, CliError> {
-    match option_values(rest, "--tuning").next() {
-        None => Ok(None),
-        Some(path) => {
-            let text =
-                std::fs::read_to_string(path).map_err(|e| Fail(format!("{path}: {e}")))?;
-            Ok(Some(perf::content_hash(&text)))
-        }
-    }
-}
-
 /// Append a finished record to the archive at `path`.
 fn archive_append(path: &str, rec: &mut perf::RunRecord, quiet: bool) -> Result<(), CliError> {
     let id = perf::append_record(std::path::Path::new(path), rec)
@@ -1004,31 +944,46 @@ fn archive_append(path: &str, rec: &mut perf::RunRecord, quiet: bool) -> Result<
     Ok(())
 }
 
-/// Threshold assignment from `--tuning FILE` plus `--threshold NAME=V`
-/// overrides, shared by `simulate` and `exec`.
-fn load_thresholds(
-    rest: &[String],
-    registry: &compiler::ThresholdRegistry,
-) -> Result<Thresholds, CliError> {
-    let mut thresholds = Thresholds::new();
-    if let Some(path) = option_values(rest, "--tuning").next() {
-        let text = std::fs::read_to_string(path).map_err(|e| Fail(format!("{path}: {e}")))?;
-        thresholds = compiler::read_tuning(registry, &text).map_err(Fail)?;
-    }
-    for spec in option_values(rest, "--threshold") {
-        let (name, v) = spec
-            .split_once('=')
-            .ok_or_else(|| Usage(format!("bad --threshold {spec}")))?;
-        let info = registry
-            .iter()
-            .find(|i| i.name == name)
-            .ok_or_else(|| Usage(format!("unknown threshold {name}")))?;
-        thresholds.set(info.id, v.parse().map_err(|e| Usage(format!("{spec}: {e}")))?);
-    }
-    Ok(thresholds)
+/// The run request `--arg`, `--data-seed`, `--threads`, `--grain`,
+/// `--tuning`, `--threshold NAME=V` and `--deadline-ms` describe: the
+/// [`serve::ExecSpec`] a daemon resolves, so local and served runs of
+/// the same flags mean the same thing.
+fn exec_spec(rest: &[String]) -> Result<serve::ExecSpec, CliError> {
+    let tuning = match option_values(rest, "--tuning").next() {
+        None => None,
+        Some(path) => {
+            Some(std::fs::read_to_string(path).map_err(|e| Fail(format!("{path}: {e}")))?)
+        }
+    };
+    let thresholds = option_values(rest, "--threshold")
+        .map(|spec| {
+            let (name, v) =
+                spec.split_once('=').ok_or_else(|| Usage(format!("bad --threshold {spec}")))?;
+            Ok((name.to_string(), v.parse().map_err(|e| Usage(format!("{spec}: {e}")))?))
+        })
+        .collect::<Result<_, CliError>>()?;
+    Ok(serve::ExecSpec {
+        args: arg_specs(rest),
+        data_seed: Some(parse_opt_num(rest, "--data-seed", serve::client::DEFAULT_DATA_SEED)?),
+        threads: opt_num(rest, "--threads")?,
+        grain: opt_num(rest, "--grain")?,
+        tuning,
+        thresholds,
+        deadline_ms: opt_num(rest, "--deadline-ms")?,
+        ..serve::ExecSpec::default()
+    })
 }
 
-/// `--flag N` with a default, for any parseable number type.
+/// `--flag N`, if given, for any parseable number type.
+fn opt_num<T: std::str::FromStr>(args: &[String], flag: &str) -> Result<Option<T>, CliError>
+where
+    T::Err: std::fmt::Display,
+{
+    let parse = |s: &str| s.parse().map_err(|e| Usage(format!("bad {flag} {s}: {e}")));
+    option_values(args, flag).next().map(parse).transpose()
+}
+
+/// `--flag N` with a default.
 fn parse_opt_num<T: std::str::FromStr>(
     args: &[String],
     flag: &str,
@@ -1037,12 +992,7 @@ fn parse_opt_num<T: std::str::FromStr>(
 where
     T::Err: std::fmt::Display,
 {
-    match option_values(args, flag).next() {
-        None => Ok(default),
-        Some(s) => s
-            .parse()
-            .map_err(|e| Usage(format!("bad {flag} {s}: {e}"))),
-    }
+    Ok(opt_num(args, flag)?.unwrap_or(default))
 }
 
 fn option_values<'a>(args: &'a [String], flag: &'a str) -> impl Iterator<Item = &'a str> {
@@ -1059,50 +1009,6 @@ fn parse_device(args: &[String]) -> Result<gpu::DeviceSpec, String> {
     }
 }
 
-fn parse_args(args: &[String]) -> Result<Vec<gpu::AbsValue>, String> {
-    let specs: Vec<String> = option_values(args, "--arg").map(str::to_string).collect();
-    parse_arg_list(&specs)
-}
-
-fn parse_arg_list(specs: &[String]) -> Result<Vec<gpu::AbsValue>, String> {
-    specs.iter().map(|s| parse_abs_value(s)).collect()
-}
-
-/// `1024` → i64 scalar; `[16][256]f32` → array shape; `3.5` → f32.
-fn parse_abs_value(spec: &str) -> Result<gpu::AbsValue, String> {
-    let spec = spec.trim();
-    if let Some(stripped) = spec.strip_prefix('[') {
-        let mut dims = Vec::new();
-        let mut rest = stripped;
-        loop {
-            let (dim, after) = rest
-                .split_once(']')
-                .ok_or_else(|| format!("bad array spec `{spec}`"))?;
-            dims.push(dim.parse::<i64>().map_err(|e| format!("`{spec}`: {e}"))?);
-            if let Some(inner) = after.strip_prefix('[') {
-                rest = inner;
-            } else {
-                let elem = match after {
-                    "f32" | "" => ir::ScalarType::F32,
-                    "f64" => ir::ScalarType::F64,
-                    "i32" => ir::ScalarType::I32,
-                    "i64" => ir::ScalarType::I64,
-                    "bool" => ir::ScalarType::Bool,
-                    other => return Err(format!("unknown element type `{other}`")),
-                };
-                return Ok(gpu::AbsValue::array(dims, elem));
-            }
-        }
-    }
-    if let Ok(n) = spec.parse::<i64>() {
-        return Ok(gpu::AbsValue::known(ir::Const::I64(n)));
-    }
-    if let Ok(x) = spec.parse::<f32>() {
-        return Ok(gpu::AbsValue::known(ir::Const::F32(x)));
-    }
-    Err(format!("cannot parse argument `{spec}`"))
-}
-
 /// `flatc serve`: run the flatd daemon in the foreground. Prints the
 /// bound address on stdout (useful with port 0) and runs until a
 /// client sends `shutdown`.
@@ -1116,14 +1022,8 @@ fn run_serve(rest: &[String], quiet: bool) -> Result<(), CliError> {
     cfg.queue = parse_opt_num(rest, "--queue", cfg.queue)?;
     cfg.batch = parse_opt_num(rest, "--batch", cfg.batch)?;
     cfg.cache_capacity = parse_opt_num(rest, "--cache", cfg.cache_capacity)?;
-    if let Some(s) = option_values(rest, "--threads").next() {
-        cfg.threads =
-            Some(s.parse().map_err(|e| Usage(format!("bad --threads {s}: {e}")))?);
-    }
-    if let Some(s) = option_values(rest, "--deadline-ms").next() {
-        cfg.default_deadline_ms =
-            Some(s.parse().map_err(|e| Usage(format!("bad --deadline-ms {s}: {e}")))?);
-    }
+    cfg.threads = opt_num(rest, "--threads")?;
+    cfg.default_deadline_ms = opt_num(rest, "--deadline-ms")?;
     let handle = serve::start(cfg).map_err(|e| Fail(format!("flatd: {e}")))?;
     // Scripts capture the bound address from the first stdout line.
     println!("{}", handle.addr());
@@ -1207,44 +1107,13 @@ fn run_remote_exec(rest: &[String], quiet: bool) -> Result<(), CliError> {
     let src = std::fs::read_to_string(file).map_err(|e| Fail(format!("{file}: {e}")))?;
     let mut client = remote_client(rest)?;
 
-    let tuning = match option_values(rest, "--tuning").next() {
-        None => None,
-        Some(path) => {
-            Some(std::fs::read_to_string(path).map_err(|e| Fail(format!("{path}: {e}")))?)
-        }
-    };
-    let mut overrides = Vec::new();
-    for spec in option_values(rest, "--threshold") {
-        let (name, v) = spec
-            .split_once('=')
-            .ok_or_else(|| Usage(format!("bad --threshold {spec}")))?;
-        overrides.push((
-            name.to_string(),
-            v.parse().map_err(|e| Usage(format!("{spec}: {e}")))?,
-        ));
-    }
-    let spec = serve::ExecSpec {
+    let spec = exec_spec(rest)?;
+    let request = serve::ExecSpec {
         source: Some(src.clone()),
         entry: entry.to_string(),
-        args: arg_specs(rest),
-        data_seed: Some(parse_opt_num(rest, "--data-seed", 42u64)?),
-        threads: option_values(rest, "--threads")
-            .next()
-            .map(|s| s.parse().map_err(|e| Usage(format!("bad --threads {s}: {e}"))))
-            .transpose()?,
-        grain: option_values(rest, "--grain")
-            .next()
-            .map(|s| s.parse().map_err(|e| Usage(format!("bad --grain {s}: {e}"))))
-            .transpose()?,
-        tuning: tuning.clone(),
-        thresholds: overrides.clone(),
-        deadline_ms: option_values(rest, "--deadline-ms")
-            .next()
-            .map(|s| s.parse().map_err(|e| Usage(format!("bad --deadline-ms {s}: {e}"))))
-            .transpose()?,
-        ..serve::ExecSpec::default()
+        ..spec.clone()
     };
-    let reply = client.exec(&serve::client::exec_request(spec)).map_err(remote_error)?;
+    let reply = client.exec(&serve::client::exec_request(request)).map_err(remote_error)?;
 
     println!(
         "remote:        {} ({} threads, {})",
@@ -1271,30 +1140,7 @@ fn run_remote_exec(rest: &[String], quiet: bool) -> Result<(), CliError> {
         let prog =
             lang::compile_sprogram(&sprog, entry).map_err(|e| Type(format!("{file}: {e}")))?;
         let fl = compiler::flatten_incremental(&prog).map_err(|e| Fail(e.to_string()))?;
-        let specs = parse_args(rest).map_err(Usage)?;
-        let seed = parse_opt_num(rest, "--data-seed", 42u64)?;
-        let vals = exec::materialize(&specs, seed).map_err(|e| Fail(e.to_string()))?;
-        let mut thresholds = Thresholds::new();
-        if let Some(text) = &tuning {
-            thresholds = compiler::read_tuning(&fl.thresholds, text).map_err(Fail)?;
-        }
-        for (name, v) in &overrides {
-            let info = fl
-                .thresholds
-                .iter()
-                .find(|i| &i.name == name)
-                .ok_or_else(|| Usage(format!("unknown threshold {name}")))?;
-            thresholds.set(info.id, *v);
-        }
-        let cfg = exec::ExecConfig {
-            thresholds,
-            threads: option_values(rest, "--threads")
-                .next()
-                .map(|s| s.parse().map_err(|e| Usage(format!("bad --threads {s}: {e}"))))
-                .transpose()?,
-            grain: parse_opt_num(rest, "--grain", exec::DEFAULT_GRAIN)?,
-            ..exec::ExecConfig::default()
-        };
+        let (vals, cfg) = spec.resolve(&fl.thresholds, None).map_err(Fail)?;
         let compiled = vm::compile(&fl.prog).map_err(|e| Fail(e.to_string()))?;
         let local = vm::run_compiled(&compiled, &vals, &cfg).map_err(|e| Fail(e.to_string()))?;
         if local.values.len() != reply.values.len() {
@@ -1330,16 +1176,10 @@ fn run_serve_bench(rest: &[String], quiet: bool) -> Result<(), CliError> {
         requests: parse_opt_num(rest, "--requests", 8usize)?,
         programs: parse_opt_num(rest, "--programs", 16usize)?,
         seed: parse_opt_num(rest, "--seed", 0x10adu64)?,
+        rate_per_session: opt_num(rest, "--rate")?,
+        deadline_ms: opt_num(rest, "--deadline-ms")?,
         ..serve::LoadConfig::default()
     };
-    if let Some(s) = option_values(rest, "--rate").next() {
-        cfg.rate_per_session =
-            Some(s.parse().map_err(|e| Usage(format!("bad --rate {s}: {e}")))?);
-    }
-    if let Some(s) = option_values(rest, "--deadline-ms").next() {
-        cfg.deadline_ms =
-            Some(s.parse().map_err(|e| Usage(format!("bad --deadline-ms {s}: {e}")))?);
-    }
     if let Some(file) = option_values(rest, "--file").next() {
         cfg.source =
             std::fs::read_to_string(file).map_err(|e| Fail(format!("{file}: {e}")))?;

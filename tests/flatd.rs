@@ -119,6 +119,108 @@ fn benchmark_suite_bitwise_identical_to_local_vm() {
     server.stop();
 }
 
+/// `exec_request` keeps its bytes, and `ExecSpec::from_request` inverts
+/// it for every field but the program text.
+#[test]
+fn exec_request_bytes_and_from_request_round_trip() {
+    let full = ExecSpec {
+        source: Some("def main (x: i64): i64 = x".to_string()),
+        program: Some("feedface".to_string()),
+        entry: "main".to_string(),
+        args: vec!["4".to_string(), "[4][2]f32".to_string()],
+        data_seed: Some(7),
+        threads: Some(2),
+        grain: Some(4),
+        tuning: Some("t0=1\n".to_string()),
+        thresholds: vec![("t0".to_string(), 3), ("t1".to_string(), -1)],
+        deadline_ms: Some(250),
+    };
+    let frame = serve::client::exec_request(full.clone());
+    assert_eq!(
+        obs::json::to_string(&frame).unwrap(),
+        r#"{"type":"exec","source":"def main (x: i64): i64 = x","program":"feedface","entry":"main","args":["4","[4][2]f32"],"data_seed":7,"threads":2,"grain":4,"tuning":"t0=1\n","thresholds":{"t0":3,"t1":-1},"deadline_ms":250}"#
+    );
+    assert_eq!(ExecSpec::from_request(&frame).unwrap(), ExecSpec { source: None, ..full });
+}
+
+/// A served exec's `tuning` text, `thresholds` override, `threads` and
+/// `grain` resolve exactly as a local `ExecSpec::resolve` run of the
+/// same spec: bitwise values and the same threshold path.
+#[test]
+fn served_overrides_match_the_local_resolve() {
+    let server = start_server(ServerConfig { threads: Some(2), ..ServerConfig::default() });
+    let mut client = Client::connect(server.addr()).unwrap();
+    let source = std::fs::read_to_string("examples/locvolcalib.fut").unwrap();
+    let prog = lang::compile(&source, "locvolcalib").unwrap();
+    let fl = compiler::flatten_incremental(&prog).unwrap();
+    // The tuning text takes every guard; the override then refuses the
+    // root (wire integers stop at 2^53), so the path shows both.
+    let mut take_all = Thresholds::new();
+    for info in fl.thresholds.iter() {
+        take_all.set(info.id, 0);
+    }
+    let root = fl.thresholds.iter().find(|i| i.path.is_empty()).unwrap();
+    let spec = ExecSpec {
+        entry: "locvolcalib".to_string(),
+        args: ["16", "4", "8", "[16][4][8]f32", "[16][8][4]f32", "2"].map(String::from).to_vec(),
+        data_seed: Some(7),
+        threads: Some(2),
+        grain: Some(4),
+        tuning: Some(compiler::write_tuning(&fl.thresholds, &take_all)),
+        thresholds: vec![(root.name.clone(), 1 << 40)],
+        ..ExecSpec::default()
+    };
+    let request = ExecSpec { source: Some(source.clone()), ..spec.clone() };
+    let reply = client.exec(&serve::client::exec_request(request)).unwrap();
+
+    let (vals, cfg) = spec.resolve(&fl.thresholds, None).unwrap();
+    let local = vm::run_compiled(&vm::compile(&fl.prog).unwrap(), &vals, &cfg).unwrap();
+    assert_eq!(reply.threads, 2);
+    assert_eq!(reply.path, local.signature());
+    assert!(reply.path.contains(&(root.id.0, false)), "{:?}", reply.path);
+    assert!(reply.path.iter().any(|&(_, taken)| taken), "{:?}", reply.path);
+    assert_eq!(reply.values.len(), local.values.len());
+    for (i, (r, l)) in reply.values.iter().zip(&local.values).enumerate() {
+        assert!(proto::bitwise_eq(r, l), "result {i} differs bitwise from the local run");
+    }
+    server.stop();
+}
+
+/// A `threads` outside the daemon's own pool, or a shape whose element
+/// count overflows, is a `fail` error, and the daemon keeps serving.
+#[test]
+fn hostile_run_fields_fail_and_the_daemon_keeps_serving() {
+    let server = start_server(ServerConfig { threads: Some(2), ..ServerConfig::default() });
+    let mut client = Client::connect(server.addr()).unwrap();
+    let source = std::fs::read_to_string("examples/sumrows.fut").unwrap();
+    let mut exec = |threads: Option<u64>, args: [&str; 3]| {
+        client.exec(&serve::client::exec_request(ExecSpec {
+            source: Some(source.clone()),
+            entry: "sumrows".to_string(),
+            args: args.map(String::from).to_vec(),
+            threads,
+            ..ExecSpec::default()
+        }))
+    };
+    let hostile = [
+        (Some(1_000_000), ["8", "16", "[8][16]f32"]),
+        (Some(0), ["8", "16", "[8][16]f32"]),
+        (None, ["3037000500", "3037000500", "[3037000500][3037000500]f32"]),
+        (None, ["4294967296", "4294967296", "[4294967296][4294967296]f32"]),
+    ];
+    for (threads, args) in hostile {
+        match exec(threads, args) {
+            Err(ClientError::Service(e)) => assert_eq!(e.code, "fail", "{e}"),
+            other => panic!("{threads:?} {args:?}: expected a fail error, got {other:?}"),
+        }
+    }
+    let ok = exec(Some(2), ["8", "16", "[8][16]f32"]).unwrap();
+    assert_eq!(ok.threads, 2);
+    let status = Client::connect(server.addr()).unwrap().status().unwrap();
+    assert_eq!(status.get("threads").and_then(obs::json::Value::as_u64), Some(2));
+    server.stop();
+}
+
 #[test]
 fn repeated_requests_hit_the_compile_cache() {
     let server = default_server();

@@ -331,7 +331,8 @@ fn regret_identifies_misset_threshold_on_locvolcalib() {
 
     // Wall-clock smoke: the measured sweep completes and sees the same
     // live decision; which path is fastest today is not asserted.
-    let timed = perf::wall_clock(&fl.prog, &args, &cfg);
+    let compiled = vm::compile(&fl.prog).unwrap();
+    let timed = perf::wall_clock(&compiled, &args, &cfg);
     let rep = perf::profile_regret(&fl.thresholds, "locvolcalib", &args, &cfg, &timed).unwrap();
     assert!(rep.live_sig.contains(&(root.id.0, false)), "live sig {:?}", rep.live_sig);
     assert!(rep.alternatives.iter().all(|a| a.wall_ns > 0.0));
@@ -357,7 +358,8 @@ fn regret_samples_warm_start_the_tuner() {
         warmup: 0,
         ..perf::RegretConfig::default()
     };
-    let timed = perf::wall_clock(&fl.prog, &args, &cfg);
+    let compiled = vm::compile(&fl.prog).unwrap();
+    let timed = perf::wall_clock(&compiled, &args, &cfg);
     let rep = perf::profile_regret(&fl.thresholds, "sumrows", &args, &cfg, &timed).unwrap();
     assert!(!rep.alternatives.is_empty());
 
