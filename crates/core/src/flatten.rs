@@ -33,6 +33,7 @@
 //! this turns a skipped division-by-zero into a raised one.
 
 use crate::ctx::Ctx;
+use crate::driver::{Observer, Pass};
 use crate::rules::{Rule, RuleTrace};
 use crate::thresholds::{ThresholdKind, ThresholdRegistry};
 use flat_ir::ast::*;
@@ -55,7 +56,7 @@ pub enum FlattenMode {
 }
 
 /// Configuration of the flattening pass.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct FlattenConfig {
     pub mode: FlattenMode,
     /// Ablation (§5.3): make the moderate heuristic always exploit all
@@ -161,6 +162,17 @@ impl From<TypeError> for FlattenError {
 /// a wall-clock span in the global `flat-obs` recorder, and the rule
 /// firing counts are mirrored into `compiler.rule.G*` counters.
 pub fn flatten(prog: &Program, cfg: &FlattenConfig) -> Result<Flattened, FlattenError> {
+    flatten_observed(prog, cfg, &mut |_| {})
+}
+
+/// [`flatten`], observing the flattener's output after uniquify and, if
+/// `cfg.simplify`, the simplified program: a verifier sees both and
+/// neither pass runs twice. Re-exported as [`crate::driver::flatten`].
+pub fn flatten_observed(
+    prog: &Program,
+    cfg: &FlattenConfig,
+    observe: &mut Observer,
+) -> Result<Flattened, FlattenError> {
     let mode_name = match (cfg.mode, cfg.full_flattening) {
         (FlattenMode::Moderate, false) => "moderate",
         (FlattenMode::Moderate, true) => "full",
@@ -209,9 +221,14 @@ pub fn flatten(prog: &Program, cfg: &FlattenConfig) -> Result<Flattened, Flatten
             flat_obs::global().metrics().add("compiler.uniquify_renamed", renamed as u64);
         }
     }
+    let (mode, thresholds) = (Some(mode_name), Some(&fl.reg));
+    observe(Pass { name: "flatten", mode, prog: &out, thresholds });
     if cfg.simplify {
-        let _span = flat_obs::span("compiler", "pass.simplify");
-        crate::simplify::simplify_program(&mut out);
+        {
+            let _span = flat_obs::span("compiler", "pass.simplify");
+            crate::simplify::simplify_program(&mut out);
+        }
+        observe(Pass { name: "simplify", mode, prog: &out, thresholds });
     }
     {
         let _span = flat_obs::span("compiler", "pass.typecheck");

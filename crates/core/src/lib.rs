@@ -8,7 +8,9 @@
 //! convenience wrappers [`flatten_moderate`] (the PLDI '17 baseline) and
 //! [`flatten_incremental`] (the paper's contribution). The result bundles
 //! the multi-versioned target program with its [`ThresholdRegistry`] —
-//! the branching-tree structure that the autotuner consumes.
+//! the branching-tree structure that the autotuner consumes. From
+//! source text, [`driver::compile`] runs the whole pipeline, fusion
+//! included.
 //!
 //! ```
 //! use incflat::{flatten_incremental, flatten_moderate};
@@ -25,6 +27,7 @@
 //! ```
 
 pub mod ctx;
+pub mod driver;
 pub mod flatten;
 pub mod rules;
 pub mod simplify;

@@ -6,8 +6,8 @@
 //! Keyed by the FNV-1a hash (`flat-perf`'s [`flat_perf::fnv1a`]) of
 //! `entry '\0' source`, mapping to the full compiled artifact: the
 //! incrementally flattened multi-version program, its threshold
-//! registry, and the lowered VM bytecode. A hit skips
-//! parse → elaborate → flatten → lower entirely — the whole point of a
+//! registry, and the lowered VM bytecode. A hit skips parse →
+//! elaborate → fuse → flatten → lower entirely — the whole point of a
 //! persistent daemon (the paper's up-front multi-version cost amortized
 //! over many runs). Hits and misses are counted here *and* mirrored to
 //! `flat-obs` (`flatd.cache.hits` / `flatd.cache.misses`) so `FLAT_OBS`
@@ -30,6 +30,7 @@
 
 use crate::proto::ServiceError;
 use flat_obs::json::Value;
+use incflat::driver::{self, CompileError};
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -58,17 +59,18 @@ pub fn program_hash(source: &str, entry: &str) -> String {
     format!("{:016x}", flat_perf::fnv1a(keyed.as_bytes()))
 }
 
-/// Compile `source` from scratch, mapping each pipeline stage onto the
-/// exit-code taxonomy: parse → `parse` (2), elaboration → `type` (3),
+/// Compile `source` from scratch through the compile driver (no
+/// verifier on the cold path), mapping each stage onto the exit-code
+/// taxonomy: parse → `parse` (2), elaboration → `type` (3),
 /// flattening/lowering → `fail` (1).
 pub fn compile_program(source: &str, entry: &str) -> Result<CachedProgram, ServiceError> {
     let started = std::time::Instant::now();
-    let sprog = flat_lang::parse_program(source)
-        .map_err(|e| ServiceError::new("parse", e.to_string()))?;
-    let prog = flat_lang::compile_sprogram(&sprog, entry)
-        .map_err(|e| ServiceError::new("type", e.to_string()))?;
-    let flattened = incflat::flatten_incremental(&prog)
-        .map_err(|e| ServiceError::new("fail", e.to_string()))?;
+    let cfg = incflat::FlattenConfig::incremental();
+    let flattened = driver::compile(source, entry, &cfg, &mut |_| {}).map_err(|e| match e {
+        CompileError::Parse(e) => ServiceError::new("parse", e.to_string()),
+        CompileError::Type(e) => ServiceError::new("type", e.to_string()),
+        CompileError::Flatten(e) => ServiceError::new("fail", e.to_string()),
+    })?;
     let compiled = flat_vm::compile(&flattened.prog)
         .map_err(|e| ServiceError::new("fail", e.to_string()))?;
     Ok(CachedProgram {

@@ -19,24 +19,28 @@
 //!    simulator runs alongside each version and its recorded path must
 //!    match the interpreter's ([`gpu_sim::sim::path_signature`]).
 //!
-//! Three further legs ride along: a static **verifier** pass after
-//! every transformation (`verify: bool`), **real execution**
-//! (`exec: bool`) — the `flat-exec` multithreaded runtime runs every
-//! forced path *and* the live-dispatched path on 2 threads with a tiny
-//! grain size (so even the fuzzer's small inputs split into several
-//! parallel tasks), and must reproduce the reference bitwise with a
-//! path signature the interpreter (forced) or the threshold branching
-//! tree (live) agrees with — and the **bytecode VM** (`vm: bool`),
-//! which compiles each flattened version to `flat-vm`'s register
-//! bytecode and holds it to exactly the same bar under the same
-//! configuration.
+//! Fusion and flattening run through the compile driver
+//! ([`incflat::driver`]), as in `flatc` and `flatd`. Three further legs
+//! ride along: the driver's **verifying observer** after every pass
+//! (`verify: bool`), **real execution** (`exec: bool`) — the
+//! `flat-exec` multithreaded runtime runs every forced path *and* the
+//! live-dispatched path on 2 threads with a tiny grain size (so even the
+//! fuzzer's small inputs split into several parallel tasks), and must
+//! reproduce the reference bitwise with a path signature the
+//! interpreter (forced) or the threshold branching tree (live) agrees
+//! with — and the **bytecode VM** (`vm: bool`), which compiles each
+//! flattened version to `flat-vm`'s register bytecode and holds it to
+//! exactly the same bar under the same configuration.
 
 use crate::eval::{self, V};
+use flat_exec::{ExecError, ExecReport};
 use flat_ir::interp::{Interp, Thresholds};
 use flat_ir::value::{ArrayVal, Buffer};
 use flat_ir::{ThresholdId, Value};
-use flat_lang::syntax::{SDef, SProgram};
+use flat_lang::syntax::SDef;
+use flat_verify::LintReport;
 use gpu_sim::DeviceSpec;
+use incflat::driver::{self, Pass};
 use incflat::{FlattenConfig, ThresholdRegistry};
 use rand::prelude::*;
 use std::collections::BTreeSet;
@@ -203,12 +207,15 @@ impl Oracle {
         if let Some(mutate) = &self.mutate_post_elab {
             mutate(&mut prog);
         }
-        if self.verify {
-            let p = &prog;
-            guard("verify-elab", || {
-                verify_clean("verify-elab", "", flat_verify::verify_program(p))
-            })?;
-        }
+        // Leg 1 needs the surface AST, so the oracle elaborates itself
+        // and hands that pass to the observer; fusion and flattening
+        // run through the compile driver.
+        let mut lint = LintReport::default();
+        guard("verify-elab", || {
+            let p = Pass { name: "elaborate", mode: None, prog: &prog, thresholds: None };
+            self.observer(&mut lint)(p);
+            verify_clean("verify-elab", "", &mut lint)
+        })?;
         let args = inputs.ir_args();
         let ir_out = guard("ir-eval", || {
             flat_ir::interp::run_program(&prog, &args, &Thresholds::new())
@@ -220,18 +227,12 @@ impl Oracle {
 
         // Leg 3: fusion must preserve both typing and semantics.
         let fused = guard("fusion", || {
-            let mut fused = prog.clone();
-            flat_ir::fusion::fuse_program(&mut fused);
+            let fused = driver::fuse(prog.clone(), &mut self.observer(&mut lint));
             flat_ir::typecheck::check_source(&fused)
                 .map_err(|e| fail("fusion", format!("fused program is ill-typed: {e}")))?;
             Ok(fused)
         })?;
-        if self.verify {
-            let p = &fused;
-            guard("verify-fusion", || {
-                verify_clean("verify-fusion", "", flat_verify::verify_program(p))
-            })?;
-        }
+        guard("verify-fusion", || verify_clean("verify-fusion", "", &mut lint))?;
         let fused_out = guard("fusion-eval", || {
             flat_ir::interp::run_program(&fused, &args, &Thresholds::new())
                 .map_err(|e| fail("fusion-eval", e.0))
@@ -244,21 +245,13 @@ impl Oracle {
         let mut report = OracleReport::default();
         let dev = DeviceSpec::k40();
         for cfg in [FlattenConfig::moderate(), FlattenConfig::incremental()] {
-            let mode = if cfg.mode == incflat::FlattenMode::Incremental {
-                "incremental"
-            } else {
-                "moderate"
-            };
+            let incremental = cfg.mode == incflat::FlattenMode::Incremental;
+            let mode = if incremental { "incremental" } else { "moderate" };
             let fl = guard("flatten", || {
-                incflat::flatten(&fused, &cfg)
+                driver::flatten(&fused, &cfg, &mut self.observer(&mut lint))
                     .map_err(|e| fail("flatten", format!("{mode}: {e}")))
             })?;
-            if self.verify {
-                let fl = &fl;
-                guard("verify-flatten", || {
-                    verify_clean("verify-flatten", mode, flat_verify::verify_flattened(fl))
-                })?;
-            }
+            guard("verify-flatten", || verify_clean("verify-flatten", mode, &mut lint))?;
             let assignments = enumerate_assignments(&fl.thresholds, self.max_assignments);
             for asg in &assignments {
                 let mut t = Thresholds::new();
@@ -312,98 +305,95 @@ impl Oracle {
                     ));
                 }
 
-                // Leg 6a: the real executor under the same forcing, on 2
-                // threads with a tiny grain so even small inputs split
-                // into several parallel tasks.
-                if self.exec {
-                    let erep = guard("exec-run", || {
-                        flat_exec::run_program(&fl.prog, &args, &exec_config(&t))
-                            .map_err(|e| fail("exec-run", format!("{}: {}", ctx(), e.0)))
+                // Legs 6a and 7a: the real executor and the bytecode VM
+                // under the same forcing must reproduce the reference and
+                // the interpreter's path exactly.
+                for tier in self.tiers() {
+                    let [run, values, path, ..] = tier.stages;
+                    let rep = guard(run, || {
+                        (tier.run)(&fl.prog, &args, &exec_config(&t))
+                            .map_err(|e| fail(run, format!("{}: {}", ctx(), e.0)))
                     })?;
-                    if erep.values != reference {
-                        return Err(mismatch("exec-mismatch", &reference, &erep.values, &ctx()));
+                    if rep.values != reference {
+                        return Err(mismatch(values, &reference, &rep.values, &ctx()));
                     }
-                    let esig = erep.signature();
-                    if esig != isig {
-                        return Err(fail(
-                            "exec-path",
-                            format!(
-                                "{}: executor path {esig:?} != interpreter path {isig:?}",
-                                ctx()
-                            ),
-                        ));
+                    let sig = rep.signature();
+                    if sig != isig {
+                        let who = format!("{}: {} path {sig:?}", ctx(), tier.names[0]);
+                        return Err(fail(path, format!("{who} != interpreter path {isig:?}")));
                     }
                 }
 
-                // Leg 7a: the bytecode VM under the same forcing —
-                // compiled-tier results and paths must match the
-                // reference exactly, like the tree-walking executor's.
-                if self.vm {
-                    let vrep = guard("vm-run", || {
-                        flat_vm::run_program(&fl.prog, &args, &exec_config(&t))
-                            .map_err(|e| fail("vm-run", format!("{}: {}", ctx(), e.0)))
-                    })?;
-                    if vrep.values != reference {
-                        return Err(mismatch("vm-mismatch", &reference, &vrep.values, &ctx()));
-                    }
-                    let vsig = vrep.signature();
-                    if vsig != isig {
-                        return Err(fail(
-                            "vm-path",
-                            format!(
-                                "{}: vm path {vsig:?} != interpreter path {isig:?}",
-                                ctx()
-                            ),
-                        ));
-                    }
-                }
-
-                if mode == "incremental" {
+                if incremental {
                     push_distinct(&mut report.path_signatures, isig);
                 }
             }
 
-            // Leg 6b: live dispatch — no forcing, the default threshold
-            // assignment decides against the actual `Par(...)` degrees.
-            // The taken path must be one the branching tree admits.
-            if self.exec {
-                let live = guard("exec-live", || {
-                    flat_exec::run_program(&fl.prog, &args, &exec_config(&Thresholds::new()))
-                        .map_err(|e| fail("exec-live", format!("{mode}: {}", e.0)))
+            // Legs 6b and 7b: live dispatch — no forcing, the default
+            // threshold assignment decides against the actual `Par(...)`
+            // degrees. The taken path must be one the branching tree
+            // admits.
+            for tier in self.tiers() {
+                let [.., run, values, path] = tier.stages;
+                let live = guard(run, || {
+                    (tier.run)(&fl.prog, &args, &exec_config(&Thresholds::new()))
+                        .map_err(|e| fail(run, format!("{mode}: {}", e.0)))
                 })?;
                 if live.values != reference {
-                    return Err(mismatch("exec-live-mismatch", &reference, &live.values, mode));
+                    return Err(mismatch(values, &reference, &live.values, mode));
                 }
-                let lsig = live.signature();
-                if !flat_exec::path_in_tree(&fl.thresholds, &lsig) {
-                    return Err(fail(
-                        "exec-live-path",
-                        format!("{mode}: live-dispatched path {lsig:?} is not in the threshold tree"),
-                    ));
-                }
-            }
-
-            // Leg 7b: live dispatch through the bytecode VM.
-            if self.vm {
-                let live = guard("vm-live", || {
-                    flat_vm::run_program(&fl.prog, &args, &exec_config(&Thresholds::new()))
-                        .map_err(|e| fail("vm-live", format!("{mode}: {}", e.0)))
-                })?;
-                if live.values != reference {
-                    return Err(mismatch("vm-live-mismatch", &reference, &live.values, mode));
-                }
-                let lsig = live.signature();
-                if !flat_exec::path_in_tree(&fl.thresholds, &lsig) {
-                    return Err(fail(
-                        "vm-live-path",
-                        format!("{mode}: vm live-dispatched path {lsig:?} is not in the threshold tree"),
-                    ));
+                let sig = live.signature();
+                if !flat_exec::path_in_tree(&fl.thresholds, &sig) {
+                    let who = tier.names[1];
+                    let detail = format!("{mode}: {who} path {sig:?} is not in the threshold tree");
+                    return Err(fail(path, detail));
                 }
             }
         }
         Ok(report)
     }
+
+    /// The CPU backends whose legs are on.
+    fn tiers(&self) -> impl Iterator<Item = &'static Tier> {
+        TIERS.iter().zip([self.exec, self.vm]).filter(|(_, on)| *on).map(|(tier, _)| tier)
+    }
+
+    /// The verifying observer when the verifier leg is on; otherwise
+    /// one that ignores every pass.
+    fn observer<'r>(&self, lint: &'r mut LintReport) -> impl FnMut(Pass<'_>) + 'r {
+        let on = self.verify;
+        move |pass| {
+            if on {
+                lint.observe(pass);
+            }
+        }
+    }
 }
+
+/// A CPU backend the sixth and seventh legs hold to the reference.
+struct Tier {
+    run: fn(&flat_ir::Program, &[Value], &flat_exec::ExecConfig) -> Result<ExecReport, ExecError>,
+    /// Forced run, values, path; then the same for live dispatch.
+    stages: [&'static str; 6],
+    /// How failure details name the backend: forced, then live.
+    names: [&'static str; 2],
+}
+
+const TIERS: [Tier; 2] = [
+    Tier {
+        run: flat_exec::run_program,
+        stages: [
+            "exec-run", "exec-mismatch", "exec-path",
+            "exec-live", "exec-live-mismatch", "exec-live-path",
+        ],
+        names: ["executor", "live-dispatched"],
+    },
+    Tier {
+        run: flat_vm::run_program,
+        stages: ["vm-run", "vm-mismatch", "vm-path", "vm-live", "vm-live-mismatch", "vm-live-path"],
+        names: ["vm", "vm live-dispatched"],
+    },
+];
 
 /// Executor configuration for oracle legs: 2 threads exercises real
 /// cross-thread scheduling, grain 4 forces multi-task decomposition
@@ -437,15 +427,13 @@ fn fail(stage: &'static str, detail: impl ToString) -> Failure {
     Failure { stage, detail: detail.to_string() }
 }
 
-/// The verifier leg: error-severity diagnostics fail the oracle
-/// (warnings flag suspicious but semantics-preserving code and would
-/// make the campaign flaky on healthy generator output).
-fn verify_clean(
-    stage: &'static str,
-    ctx: &str,
-    diags: Vec<flat_verify::Diagnostic>,
-) -> Result<(), Failure> {
-    let errors: Vec<&flat_verify::Diagnostic> = diags.iter().filter(|d| d.is_error()).collect();
+/// The verifier leg: error-severity diagnostics of the passes observed
+/// since the last check fail the oracle (warnings flag suspicious but
+/// semantics-preserving code and would make the campaign flaky on
+/// healthy generator output).
+fn verify_clean(stage: &'static str, ctx: &str, lint: &mut LintReport) -> Result<(), Failure> {
+    let observed = std::mem::take(lint);
+    let errors: Vec<_> = observed.iter().map(|(_, d)| d).filter(|d| d.is_error()).collect();
     match errors.first() {
         None => Ok(()),
         Some(first) => {
@@ -594,17 +582,6 @@ pub fn break_zero_neutral_elements(prog: &mut flat_ir::Program) -> usize {
     }
 
     walk_body(&mut prog.body)
-}
-
-/// Convenience used by tests and the CLI: parse a single-`def` source
-/// string and return its `main` definition.
-pub fn parse_main(src: &str) -> Result<(SProgram, SDef), Failure> {
-    let sprog = flat_lang::parse_program(src).map_err(|e| fail("parse", e))?;
-    let def = sprog
-        .find("main")
-        .cloned()
-        .ok_or_else(|| fail("parse", "no `main` definition"))?;
-    Ok((sprog, def))
 }
 
 #[cfg(test)]

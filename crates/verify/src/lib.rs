@@ -35,27 +35,32 @@ pub mod thresholds;
 pub mod wellformed;
 
 pub use diag::{sort_diagnostics, Diagnostic, Severity, VRule, ALL_RULES};
-pub use pipeline::{verify_pipeline, LintReport, PipelineError, StageReport};
+pub use pipeline::{verify_compile, verify_pipeline, LintReport, PipelineError, StageReport};
 pub use sizes::{Poly, SizeEnv, Tri};
 
 use flat_ir::ast::Program;
-use incflat::Flattened;
+use incflat::{Flattened, ThresholdRegistry};
 
 /// Verify one program (any stage): well-formedness + size analysis
 /// (which also covers segop write-disjointness and decidable guards).
 pub fn verify_program(prog: &Program) -> Vec<Diagnostic> {
-    let mut diags = wellformed::check(prog);
-    diags.extend(sizes::analyze(prog));
-    sort_diagnostics(&mut diags);
-    diags
+    verify_ir(prog, None)
 }
 
 /// Verify flattened output: the program itself plus the threshold
 /// registry and the guards referencing it.
 pub fn verify_flattened(fl: &Flattened) -> Vec<Diagnostic> {
-    let mut diags = wellformed::check(&fl.prog);
-    diags.extend(sizes::analyze(&fl.prog));
-    diags.extend(thresholds::check_flattened(fl));
+    verify_ir(&fl.prog, Some(&fl.thresholds))
+}
+
+/// [`verify_program`], plus the threshold-tree lint when the program
+/// has been flattened.
+fn verify_ir(prog: &Program, reg: Option<&ThresholdRegistry>) -> Vec<Diagnostic> {
+    let mut diags = wellformed::check(prog);
+    diags.extend(sizes::analyze(prog));
+    if let Some(reg) = reg {
+        diags.extend(thresholds::check_flattened(prog, reg));
+    }
     sort_diagnostics(&mut diags);
     diags
 }

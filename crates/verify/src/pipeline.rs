@@ -1,33 +1,17 @@
 //! The inter-pass verification pipeline behind `flatc lint` and
-//! `--verify`: run the whole compiler on a source program and verify
-//! the IR after *every* pass — elaboration, fusion, flattening (both
-//! modes) and simplification — collecting per-stage diagnostics.
+//! `--verify`: the compile driver ([`incflat::driver`]) with the
+//! verifier as its observer, so the IR is verified after *every* pass —
+//! elaboration, fusion, flattening (both modes) and simplification —
+//! of the pipeline the product runs.
 
 use crate::diag::Diagnostic;
-use crate::{verify_flattened, verify_program};
-use incflat::{flatten, FlattenConfig, FlattenError};
+use flat_ir::ast::Program;
+use incflat::driver::{self, Pass};
+use incflat::{FlattenConfig, Flattened};
 
-/// Why the pipeline itself (not the verifier) stopped. The CLI maps
-/// these to distinct exit codes.
-#[derive(Debug)]
-pub enum PipelineError {
-    /// The source text does not parse.
-    Parse(flat_lang::LangError),
-    /// The program parses but does not elaborate/typecheck.
-    Type(flat_lang::LangError),
-    /// Flattening failed structurally (e.g. unknown neutral element).
-    Flatten(FlattenError),
-}
-
-impl std::fmt::Display for PipelineError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PipelineError::Parse(e) => write!(f, "parse error: {e}"),
-            PipelineError::Type(e) => write!(f, "type error: {e}"),
-            PipelineError::Flatten(e) => write!(f, "flatten error: {e}"),
-        }
-    }
-}
+/// Why the pipeline itself (not the verifier) stopped: the driver's
+/// error. The CLI maps these to distinct exit codes.
+pub use incflat::driver::CompileError as PipelineError;
 
 /// Diagnostics from verifying the output of one pass.
 #[derive(Debug)]
@@ -56,53 +40,56 @@ impl LintReport {
             .iter()
             .flat_map(|s| s.diags.iter().map(move |d| (s.stage.as_str(), d)))
     }
+
+    /// The verifying observer: verify the IR the driver hands over and
+    /// record its diagnostics under the pass's stage label.
+    pub fn observe(&mut self, pass: Pass<'_>) {
+        let span = flat_obs::span("verify", &format!("verify.{}", pass.name));
+        let _span = match pass.mode {
+            Some(mode) => span.arg("mode", flat_obs::json::Value::from(mode)),
+            None => span,
+        };
+        let diags = crate::verify_ir(pass.prog, pass.thresholds);
+        self.stages.push(StageReport { stage: pass.stage(), diags });
+    }
 }
 
 /// Compile `src` and verify after each pass. `Err` means the pipeline
 /// could not run to completion; `Ok` carries all diagnostics found
 /// (possibly none).
 pub fn verify_pipeline(src: &str, entry: &str) -> Result<LintReport, PipelineError> {
-    let sprog = flat_lang::parse_program(src).map_err(PipelineError::Parse)?;
-    let prog = flat_lang::compile_sprogram(&sprog, entry).map_err(PipelineError::Type)?;
     let mut report = LintReport::default();
-    let mut stage = |name: &str, diags: Vec<Diagnostic>| {
-        report.stages.push(StageReport {
-            stage: name.to_string(),
-            diags,
-        });
-    };
-
-    {
-        let _span = flat_obs::span("verify", "verify.elaborate");
-        stage("elaborate", verify_program(&prog));
-    }
-
-    let mut fused = prog.clone();
-    flat_ir::fusion::fuse_program(&mut fused);
-    {
-        let _span = flat_obs::span("verify", "verify.fuse");
-        stage("fuse", verify_program(&fused));
-    }
-
-    for (label, mut cfg) in [
-        ("moderate", FlattenConfig::moderate()),
-        ("incremental", FlattenConfig::incremental()),
-    ] {
-        // Verify the raw flattener output first, then its simplified
-        // form — a simplifier bug must be attributed to the simplifier.
-        cfg.simplify = false;
-        let mut fl = flatten(&fused, &cfg).map_err(PipelineError::Flatten)?;
-        {
-            let _span = flat_obs::span("verify", "verify.flatten")
-                .arg("mode", flat_obs::json::Value::from(label));
-            stage(&format!("flatten-{label}"), verify_flattened(&fl));
-        }
-        incflat::simplify_program(&mut fl.prog);
-        {
-            let _span = flat_obs::span("verify", "verify.simplify")
-                .arg("mode", flat_obs::json::Value::from(label));
-            stage(&format!("simplify-{label}"), verify_flattened(&fl));
-        }
-    }
+    let prog = driver::frontend(src, entry, &mut |p| report.observe(p))?;
+    sweep(&prog, &mut report)?;
     Ok(report)
+}
+
+/// [`verify_pipeline`], flattening `cfg` from the same frontend first:
+/// observed too unless the sweep verifies its stages anyway
+/// (`simplify: false` is the sweep's raw stage).
+pub fn verify_compile(
+    src: &str,
+    entry: &str,
+    cfg: &FlattenConfig,
+) -> Result<(Flattened, LintReport), PipelineError> {
+    let mut report = LintReport::default();
+    let prog = driver::frontend(src, entry, &mut |p| report.observe(p))?;
+    let new = !swept().contains(&FlattenConfig { simplify: true, ..cfg.clone() });
+    let fl = driver::flatten(&prog, cfg, &mut |p| if new { report.observe(p) });
+    let fl = fl.map_err(PipelineError::Flatten)?;
+    sweep(&prog, &mut report)?;
+    Ok((fl, report))
+}
+
+/// The configurations [`verify_pipeline`] flattens.
+fn swept() -> [FlattenConfig; 2] {
+    [FlattenConfig::moderate(), FlattenConfig::incremental()]
+}
+
+/// Flatten `prog` under each swept configuration, the verifier observing.
+fn sweep(prog: &Program, report: &mut LintReport) -> Result<(), PipelineError> {
+    for cfg in swept() {
+        driver::flatten(prog, &cfg, &mut |p| report.observe(p)).map_err(PipelineError::Flatten)?;
+    }
+    Ok(())
 }

@@ -15,12 +15,12 @@
 
 use crate::diag::{Diagnostic, VRule};
 use flat_ir::ast::*;
-use incflat::{Flattened, ThresholdRegistry};
+use incflat::ThresholdRegistry;
 use std::collections::HashMap;
 
-pub fn check_flattened(fl: &Flattened) -> Vec<Diagnostic> {
-    let mut diags = check_registry(&fl.thresholds);
-    check_guards(&fl.prog.body, &fl.thresholds, &mut diags);
+pub fn check_flattened(prog: &Program, reg: &ThresholdRegistry) -> Vec<Diagnostic> {
+    let mut diags = check_registry(reg);
+    check_guards(&prog.body, reg, &mut diags);
     diags
 }
 

@@ -67,6 +67,7 @@
 //! codes: 2 = parse error, 3 = type error, 4 = lint errors, 1 =
 //! anything else.
 
+use incremental_flattening::compiler::FlattenConfig;
 use incremental_flattening::prelude::*;
 use std::process::ExitCode;
 
@@ -219,39 +220,48 @@ fn run(args: &[String], quiet: bool) -> Result<(), CliError> {
     let (file, rest) = rest.split_first().ok_or(Usage("missing source file".into()))?;
     let (entry, rest) = rest.split_first().ok_or(Usage("missing entry point".into()))?;
     let src = std::fs::read_to_string(file).map_err(|e| Fail(format!("{file}: {e}")))?;
+    let flag = |f: &str| rest.iter().any(|a| a == f);
 
+    if cmd == "check" {
+        let prog = compiler::driver::elaborate(&src, entry, &mut |_| {})
+            .map_err(|e| compile_error(file, e))?;
+        println!("{entry}: ok ({} parameters, {} results)", prog.params.len(), prog.ret.len());
+        return Ok(());
+    }
     if cmd == "lint" {
-        return run_lint(file, &src, entry, rest, quiet);
+        // The standalone flat-verify front-end: one diagnostic per line,
+        // human-readable or (--json) one JSON object; exit 4 iff any
+        // has Error severity.
+        let json = flag("--json");
+        let report = verify::verify_pipeline(&src, entry).map_err(|e| compile_error(file, e))?;
+        for (stage, d) in report.iter() {
+            println!("{}", if json { d.render_json(stage) } else { d.render(stage) });
+        }
+        match (report.error_count(), report.total()) {
+            (0, _) if quiet || json => {}
+            (0, 0) => println!("{file}: {entry}: lint clean across {} stages", report.stages.len()),
+            (0, warnings) => println!("{file}: {entry}: no lint errors ({warnings} warning(s))"),
+            (errors, _) => return Err(Lint(errors)),
+        }
+        return Ok(());
     }
 
-    // Parse and elaborate separately so the two failure modes get their
-    // distinct exit codes (2 and 3) on every subcommand.
-    let sprog = lang::parse_program(&src).map_err(|e| Parse(format!("{file}: {e}")))?;
-    let prog = lang::compile_sprogram(&sprog, entry).map_err(|e| Type(format!("{file}: {e}")))?;
+    let printed = matches!(cmd.as_str(), "flatten" | "compile");
+    let mut cfg = if printed && flag("--moderate") {
+        FlattenConfig::moderate()
+    } else if printed && flag("--full") {
+        FlattenConfig::full()
+    } else {
+        FlattenConfig::incremental()
+    };
+    cfg.simplify = !(printed && flag("--no-simplify"));
+    let verify = flag("--verify") && (printed || cmd == "simulate");
+    let (fl, lint) = compile(file, &src, entry, &cfg, verify)?;
 
     match cmd.as_str() {
-        "check" => {
-            println!(
-                "{entry}: ok ({} parameters, {} results)",
-                prog.params.len(),
-                prog.ret.len()
-            );
-            Ok(())
-        }
         "flatten" | "compile" => {
-            let mut cfg = if rest.iter().any(|a| a == "--moderate") {
-                compiler::FlattenConfig::moderate()
-            } else if rest.iter().any(|a| a == "--full") {
-                compiler::FlattenConfig::full()
-            } else {
-                compiler::FlattenConfig::incremental()
-            };
-            if rest.iter().any(|a| a == "--no-simplify") {
-                cfg.simplify = false;
-            }
-            let fl = compiler::flatten(&prog, &cfg).map_err(|e| Fail(e.to_string()))?;
             print!("{}", ir::pretty::program(&fl.prog));
-            if rest.iter().any(|a| a == "--explain") {
+            if flag("--explain") {
                 println!();
                 print!("{}", fl.rules.render());
             }
@@ -264,19 +274,11 @@ fn run(args: &[String], quiet: bool) -> Result<(), CliError> {
                     fl.stats.num_versions
                 );
             }
-            if rest.iter().any(|a| a == "--verify") {
+            if let Some(report) = &lint {
                 // Full inter-pass sweep: elaboration, fusion, and both
-                // flattening modes with and without simplification —
-                // not just the one configuration printed above.
-                let report = lint_report(&src, entry)?;
-                let mut errors = 0;
-                for (stage, d) in report.iter() {
-                    eprintln!("{}", d.render(stage));
-                    errors += d.is_error() as usize;
-                }
-                if errors > 0 {
-                    return Err(Lint(errors));
-                }
+                // flattening modes with and without simplification,
+                // plus the configuration printed above.
+                print_lint(report)?;
                 if !quiet {
                     eprintln!("-- verify: clean across {} stages", report.stages.len());
                 }
@@ -284,7 +286,6 @@ fn run(args: &[String], quiet: bool) -> Result<(), CliError> {
             Ok(())
         }
         "tree" => {
-            let fl = compiler::flatten_incremental(&prog).map_err(|e| Fail(e.to_string()))?;
             if fl.thresholds.is_empty() {
                 println!("(single version — no thresholds)");
             } else {
@@ -293,17 +294,8 @@ fn run(args: &[String], quiet: bool) -> Result<(), CliError> {
             Ok(())
         }
         "simulate" => {
-            let fl = compiler::flatten_incremental(&prog).map_err(|e| Fail(e.to_string()))?;
-            if rest.iter().any(|a| a == "--verify") {
-                let diags = verify::verify_flattened(&fl);
-                let mut errors = 0;
-                for d in &diags {
-                    eprintln!("{}", d.render("flatten-incremental"));
-                    errors += d.is_error() as usize;
-                }
-                if errors > 0 {
-                    return Err(Lint(errors));
-                }
+            if let Some(report) = &lint {
+                print_lint(report)?;
             }
             let dev = parse_device(rest).map_err(Usage)?;
             let spec = exec_spec(rest)?;
@@ -339,11 +331,11 @@ fn run(args: &[String], quiet: bool) -> Result<(), CliError> {
                 print!(" {}({})={}", fl.thresholds.info(c.id).name, c.par, c.taken);
             }
             println!();
-            if rest.iter().any(|a| a == "--profile") {
+            if flag("--profile") {
                 println!();
                 print!("{}", gpu::profile_table(&rep.kernels, &dev));
             }
-            if rest.iter().any(|a| a == "--attr") {
+            if flag("--attr") {
                 let tree = gpu::build_attr(&rep.kernels, &fl.prog.prov);
                 println!();
                 print!("{}", gpu::render_attr_table(&tree, &dev));
@@ -373,14 +365,11 @@ fn run(args: &[String], quiet: bool) -> Result<(), CliError> {
             Ok(())
         }
         "exec" => {
-            let fl = compiler::flatten_incremental(&prog).map_err(|e| Fail(e.to_string()))?;
             let backend = option_values(rest, "--backend").next().unwrap_or("exec");
             if !matches!(backend, "exec" | "vm") {
-                return Err(Usage(format!(
-                    "unknown --backend {backend} (expected exec or vm)"
-                )));
+                return Err(Usage(format!("unknown --backend {backend} (expected exec or vm)")));
             }
-            if rest.iter().any(|a| a == "--disasm") {
+            if flag("--disasm") {
                 let compiled = vm::compile(&fl.prog).map_err(|e| Fail(e.to_string()))?;
                 print!("{}", vm::disasm(&compiled));
                 return Ok(());
@@ -389,7 +378,7 @@ fn run(args: &[String], quiet: bool) -> Result<(), CliError> {
             let (vals, mut cfg) = spec.resolve(&fl.thresholds, None).map_err(Fail)?;
             let worker_trace = option_values(rest, "--worker-trace").next();
             let sample_log = option_values(rest, "--sample-log").next();
-            let exec_report = rest.iter().any(|a| a == "--exec-report");
+            let exec_report = flag("--exec-report");
             cfg.worker_trace = worker_trace.is_some();
             cfg.telemetry =
                 exec_report || sample_log.is_some() || exec::telemetry_requested_by_env();
@@ -420,22 +409,14 @@ fn run(args: &[String], quiet: bool) -> Result<(), CliError> {
                 print!(" {}({})={}", fl.thresholds.info(c.id).name, c.par, c.taken);
             }
             println!();
-            for (i, v) in rep.values.iter().enumerate() {
-                let shape = v.shape();
-                if shape.is_empty() {
-                    println!("result {i}:      scalar");
-                } else {
-                    let dims: Vec<String> = shape.iter().map(|d| format!("[{d}]")).collect();
-                    println!("result {i}:      {}", dims.join(""));
-                }
-            }
+            print_shapes(&rep.values);
             let dev = exec::host_device(rep.threads);
             let kernels = exec::kernel_launches(&rep);
-            if rest.iter().any(|a| a == "--profile") {
+            if flag("--profile") {
                 println!();
                 print!("{}", gpu::profile_table(&kernels, &dev));
             }
-            if rest.iter().any(|a| a == "--attr") {
+            if flag("--attr") {
                 let tree = gpu::build_attr(&kernels, &fl.prog.prov);
                 println!();
                 print!("{}", gpu::render_attr_table(&tree, &dev));
@@ -472,23 +453,14 @@ fn run(args: &[String], quiet: bool) -> Result<(), CliError> {
             }
             if let Some(path) = archive_path(rest) {
                 let build = if backend == "vm" { perf::from_vm } else { perf::from_exec };
-                let mut rec = build(
-                    entry,
-                    Some(file),
-                    &src,
-                    &spec.args,
-                    &rep,
-                    m.median_nanos,
-                    reps,
-                    &fl.prog.prov,
-                );
+                let (args, wall, prov) = (&spec.args, m.median_nanos, &fl.prog.prov);
+                let mut rec = build(entry, Some(file), &src, args, &rep, wall, reps, prov);
                 rec.tuning_hash = spec.tuning.as_deref().map(perf::content_hash);
                 archive_append(path, &mut rec, quiet)?;
             }
             Ok(())
         }
         "tune" => {
-            let fl = compiler::flatten_incremental(&prog).map_err(|e| Fail(e.to_string()))?;
             let backend = option_values(rest, "--backend").next().unwrap_or("sim");
             let threads: Option<usize> = opt_num(rest, "--threads")?;
             let dev = match backend {
@@ -526,7 +498,7 @@ fn run(args: &[String], quiet: bool) -> Result<(), CliError> {
                 let run = |a: &_, c: &_| exec::run_program(&fl.prog, a, c);
                 problem = problem.with_runner(perf::tuning_runner(run, seed, threads, reps));
             }
-            let result = if rest.iter().any(|a| a == "--exhaustive") {
+            let result = if flag("--exhaustive") {
                 tuning::exhaustive_tune(&problem, 1 << 20)
             } else {
                 tuning::StochasticTuner::default().run(&problem)
@@ -544,7 +516,7 @@ fn run(args: &[String], quiet: bool) -> Result<(), CliError> {
             for (d, rt) in problem.datasets.iter().zip(&result.per_dataset) {
                 println!("  {}: {:.1} µs", d.name, problem.device.cycles_to_us(*rt));
             }
-            if rest.iter().any(|a| a == "--coverage") {
+            if flag("--coverage") {
                 let cov = tuning::path_coverage(&problem, &result.thresholds, &result)
                     .map_err(|e| Fail(e.to_string()))?;
                 println!();
@@ -569,25 +541,15 @@ fn run(args: &[String], quiet: bool) -> Result<(), CliError> {
                 }
             }
             if let Some(path) = archive_path(rest) {
-                let mut named: Vec<(String, i64)> = result
-                    .thresholds
-                    .iter()
-                    .map(|(id, v)| (fl.thresholds.info(id).name.clone(), v))
-                    .collect();
+                let name = |id| fl.thresholds.info(id).name.clone();
+                let mut named: Vec<(String, i64)> =
+                    result.thresholds.iter().map(|(id, v)| (name(id), v)).collect();
                 named.sort();
                 let specs: Vec<String> =
                     option_values(rest, "--dataset").map(str::to_string).collect();
-                let total: f64 = result.per_dataset.iter().sum();
-                let mut rec = perf::from_tune(
-                    entry,
-                    Some(file),
-                    &src,
-                    &specs,
-                    backend,
-                    problem.device.name,
-                    total,
-                    named,
-                );
+                let (total, dev) = (result.per_dataset.iter().sum(), problem.device.name);
+                let mut rec =
+                    perf::from_tune(entry, Some(file), &src, &specs, backend, dev, total, named);
                 archive_append(path, &mut rec, quiet)?;
             }
             Ok(())
@@ -596,53 +558,52 @@ fn run(args: &[String], quiet: bool) -> Result<(), CliError> {
     }
 }
 
-/// Run the inter-pass verifier over the whole pipeline, mapping the
-/// pipeline's own failure modes to their exit-code-bearing CLI errors.
-fn lint_report(src: &str, entry: &str) -> Result<verify::LintReport, CliError> {
-    verify::verify_pipeline(src, entry).map_err(|e| match e {
-        verify::PipelineError::Parse(err) => Parse(err.to_string()),
-        verify::PipelineError::Type(err) => Type(err.to_string()),
-        verify::PipelineError::Flatten(err) => Fail(err.to_string()),
-    })
-}
-
-/// `flatc lint`: the standalone flat-verify front-end. Prints one
-/// diagnostic per line — human-readable by default, one JSON object per
-/// line under `--json` — and exits 4 iff any has Error severity.
-fn run_lint(
+/// Compile `src` through the compile driver. With `verify`, the
+/// verifier observes every pass of `verify_pipeline`'s sweep and of
+/// `cfg`, and its report comes back too.
+fn compile(
     file: &str,
     src: &str,
     entry: &str,
-    rest: &[String],
-    quiet: bool,
-) -> Result<(), CliError> {
-    let json = rest.iter().any(|a| a == "--json");
-    let report = lint_report(src, entry).map_err(|e| match e {
-        Parse(msg) => Parse(format!("{file}: {msg}")),
-        Type(msg) => Type(format!("{file}: {msg}")),
-        other => other,
-    })?;
-    let mut errors = 0;
+    cfg: &FlattenConfig,
+    verify: bool,
+) -> Result<(compiler::Flattened, Option<verify::LintReport>), CliError> {
+    let out = if verify {
+        verify::verify_compile(src, entry, cfg).map(|(fl, report)| (fl, Some(report)))
+    } else {
+        compiler::driver::compile(src, entry, cfg, &mut |_| {}).map(|fl| (fl, None))
+    };
+    out.map_err(|e| compile_error(file, e))
+}
+
+/// The driver's failures as CLI errors: parse (exit 2) and type (exit
+/// 3) errors name the file, a flattening failure exits 1.
+fn compile_error(file: &str, e: compiler::driver::CompileError) -> CliError {
+    use compiler::driver::CompileError as E;
+    match e {
+        E::Parse(e) => Parse(format!("{file}: {e}")),
+        E::Type(e) => Type(format!("{file}: {e}")),
+        E::Flatten(e) => Fail(e.to_string()),
+    }
+}
+
+/// One `result i:` line per value: its shape, or `scalar`.
+fn print_shapes(values: &[ir::Value]) {
+    for (i, v) in values.iter().enumerate() {
+        let dims: String = v.shape().iter().map(|d| format!("[{d}]")).collect();
+        println!("result {i}:      {}", if dims.is_empty() { "scalar" } else { &dims });
+    }
+}
+
+/// `--verify`: every diagnostic to stderr; error diagnostics exit 4.
+fn print_lint(report: &verify::LintReport) -> Result<(), CliError> {
     for (stage, d) in report.iter() {
-        if json {
-            println!("{}", d.render_json(stage));
-        } else {
-            println!("{}", d.render(stage));
-        }
-        errors += d.is_error() as usize;
+        eprintln!("{}", d.render(stage));
     }
-    if errors > 0 {
-        return Err(Lint(errors));
+    match report.error_count() {
+        0 => Ok(()),
+        errors => Err(Lint(errors)),
     }
-    if !quiet && !json {
-        let warnings = report.total();
-        if warnings > 0 {
-            println!("{file}: {entry}: no lint errors ({warnings} warning(s))");
-        } else {
-            println!("{file}: {entry}: lint clean across {} stages", report.stages.len());
-        }
-    }
-    Ok(())
 }
 
 /// `flatc bench`: measure the built-in suite; `--write` records the
@@ -719,9 +680,7 @@ fn run_fuzz(rest: &[String], quiet: bool) -> Result<(), CliError> {
     let seed = parse_opt_num(rest, "--seed", 0u64)?;
     let max_failures = parse_opt_num(rest, "--max-failures", 5usize)?;
     let corpus_dir = option_values(rest, "--corpus").next().unwrap_or("tests/corpus");
-    let failures_dir = option_values(rest, "--failures")
-        .next()
-        .map(std::path::PathBuf::from);
+    let failures_dir = option_values(rest, "--failures").next().map(std::path::PathBuf::from);
 
     // Corpus replay: every previously shrunk failure must stay fixed.
     let replays = fuzz::replay_corpus(std::path::Path::new(corpus_dir))
@@ -749,24 +708,13 @@ fn run_fuzz(rest: &[String], quiet: bool) -> Result<(), CliError> {
         max_failures,
         ..fuzz::FuzzConfig::default()
     };
-    // The verifier leg is on by default; --verify makes that explicit,
-    // --no-verify drops back to the four value-equivalence legs.
+    // The verifier, executor and bytecode-VM legs are on by default
+    // (--verify says so explicitly); --no-verify, --no-exec and --no-vm
+    // drop each one, down to the four value-equivalence legs.
     let mut oracle = fuzz::oracle::Oracle::new();
-    if rest.iter().any(|a| a == "--no-verify") {
-        oracle.verify = false;
-    }
-    // Likewise the executor leg (runs every forced path and the live
-    // dispatch on real threads); --no-exec keeps the campaign on the
-    // simulator-only oracles.
-    if rest.iter().any(|a| a == "--no-exec") {
-        oracle.exec = false;
-    }
-    // And the bytecode-VM leg (same forced paths and live dispatch,
-    // through the compiled tier); --no-vm keeps the campaign on the
-    // interpreter and tree-walking executor only.
-    if rest.iter().any(|a| a == "--no-vm") {
-        oracle.vm = false;
-    }
+    oracle.verify = !rest.iter().any(|a| a == "--no-verify");
+    oracle.exec = !rest.iter().any(|a| a == "--no-exec");
+    oracle.vm = !rest.iter().any(|a| a == "--no-vm");
     let summary = fuzz::run_campaign_with(&cfg, &oracle, |i| {
         if !quiet && i > 0 && i % 100 == 0 {
             eprintln!("... {i}/{iters}");
@@ -796,10 +744,7 @@ fn run_fuzz(rest: &[String], quiet: bool) -> Result<(), CliError> {
             Some(d) => format!(" (shrunk cases written to {})", d.display()),
             None => " (rerun with --failures DIR to persist shrunk cases)".into(),
         };
-        return Err(Fail(format!(
-            "{} fuzz failure(s){hint}",
-            summary.failures.len()
-        )));
+        return Err(Fail(format!("{} fuzz failure(s){hint}", summary.failures.len())));
     }
     if summary.multipath_programs == 0 && iters >= 50 {
         return Err(Fail(
@@ -816,17 +761,11 @@ fn run_fuzz(rest: &[String], quiet: bool) -> Result<(), CliError> {
 /// `regret` re-executes a program down every version path to price the
 /// live run's threshold decisions.
 fn run_perf(rest: &[String], quiet: bool) -> Result<(), CliError> {
-    let (sub, rest) = rest
-        .split_first()
-        .ok_or(Usage("perf needs a subcommand: log, diff, or regret".into()))?;
+    let (sub, rest) =
+        rest.split_first().ok_or(Usage("perf needs a subcommand: log, diff, or regret".into()))?;
     match sub.as_str() {
         "log" => {
-            let path = explicit_archive(rest).unwrap_or(perf::DEFAULT_ARCHIVE);
-            let (records, warnings) = perf::load_archive(std::path::Path::new(path))
-                .map_err(|e| Fail(format!("{e} (archive runs with --archive first)")))?;
-            for w in &warnings {
-                eprintln!("warning: {path}: {w}");
-            }
+            let (path, records) = load_archive(rest)?;
             let limit = parse_opt_num(rest, "--limit", records.len())?;
             let shown = &records[records.len().saturating_sub(limit)..];
             if shown.is_empty() {
@@ -841,12 +780,7 @@ fn run_perf(rest: &[String], quiet: bool) -> Result<(), CliError> {
                 rest.split_first().ok_or(Usage("perf diff needs two run selectors".into()))?;
             let (sel_b, _) =
                 rest2.split_first().ok_or(Usage("perf diff needs two run selectors".into()))?;
-            let path = explicit_archive(rest).unwrap_or(perf::DEFAULT_ARCHIVE);
-            let (records, warnings) = perf::load_archive(std::path::Path::new(path))
-                .map_err(|e| Fail(format!("{e} (archive runs with --archive first)")))?;
-            for w in &warnings {
-                eprintln!("warning: {path}: {w}");
-            }
+            let (_, records) = load_archive(rest)?;
             let a = perf::resolve(&records, sel_a).map_err(Fail)?;
             let b = perf::resolve(&records, sel_b).map_err(Fail)?;
             // diff_records reconciles internally: a returned diff is
@@ -870,12 +804,8 @@ fn run_perf(rest: &[String], quiet: bool) -> Result<(), CliError> {
                 rest.split_first().ok_or(Usage("perf regret needs a source file".into()))?;
             let (entry, _) =
                 rest2.split_first().ok_or(Usage("perf regret needs an entry point".into()))?;
-            let src =
-                std::fs::read_to_string(file).map_err(|e| Fail(format!("{file}: {e}")))?;
-            let sprog = lang::parse_program(&src).map_err(|e| Parse(format!("{file}: {e}")))?;
-            let prog = lang::compile_sprogram(&sprog, entry)
-                .map_err(|e| Type(format!("{file}: {e}")))?;
-            let fl = compiler::flatten_incremental(&prog).map_err(|e| Fail(e.to_string()))?;
+            let src = std::fs::read_to_string(file).map_err(|e| Fail(format!("{file}: {e}")))?;
+            let (fl, _) = compile(file, &src, entry, &FlattenConfig::incremental(), false)?;
             let (vals, run) = exec_spec(rest)?.resolve(&fl.thresholds, None).map_err(Fail)?;
             let cfg = perf::RegretConfig {
                 thresholds: run.thresholds,
@@ -886,10 +816,7 @@ fn run_perf(rest: &[String], quiet: bool) -> Result<(), CliError> {
                 cap: parse_opt_num(rest, "--cap", 64usize)?,
             };
             if !quiet {
-                eprintln!(
-                    "measuring the live path and up to {} forced alternatives...",
-                    cfg.cap
-                );
+                eprintln!("measuring the live path and up to {} forced alternatives...", cfg.cap);
             }
             let compiled = vm::compile(&fl.prog).map_err(|e| Fail(e.to_string()))?;
             let cost = perf::wall_clock(&compiled, &vals, &cfg);
@@ -923,10 +850,16 @@ fn archive_path(args: &[String]) -> Option<&str> {
         })
 }
 
-/// `--archive FILE` where the value is required to be explicit (perf
-/// subcommands, where a bare `--archive` would swallow a selector).
-fn explicit_archive(args: &[String]) -> Option<&str> {
-    option_values(args, "--archive").next()
+/// The archive `perf log|diff` read: `--archive FILE` (explicit, since a
+/// bare `--archive` would swallow a selector) or the default location.
+fn load_archive(rest: &[String]) -> Result<(&str, Vec<perf::RunRecord>), CliError> {
+    let path = option_values(rest, "--archive").next().unwrap_or(perf::DEFAULT_ARCHIVE);
+    let (records, warnings) = perf::load_archive(std::path::Path::new(path))
+        .map_err(|e| Fail(format!("{e} (archive runs with --archive first)")))?;
+    for w in &warnings {
+        eprintln!("warning: {path}: {w}");
+    }
+    Ok((path, records))
 }
 
 /// The verbatim `--arg` specs of a run, for the archive record.
@@ -1108,11 +1041,8 @@ fn run_remote_exec(rest: &[String], quiet: bool) -> Result<(), CliError> {
     let mut client = remote_client(rest)?;
 
     let spec = exec_spec(rest)?;
-    let request = serve::ExecSpec {
-        source: Some(src.clone()),
-        entry: entry.to_string(),
-        ..spec.clone()
-    };
+    let request =
+        serve::ExecSpec { source: Some(src.clone()), entry: entry.into(), ..spec.clone() };
     let reply = client.exec(&serve::client::exec_request(request)).map_err(remote_error)?;
 
     println!(
@@ -1123,23 +1053,12 @@ fn run_remote_exec(rest: &[String], quiet: bool) -> Result<(), CliError> {
     );
     println!("runtime:       {:.1} µs (on the daemon)", reply.wall_nanos / 1_000.0);
     println!("kernels:       {}", reply.kernels);
-    for (i, v) in reply.values.iter().enumerate() {
-        let shape = v.shape();
-        if shape.is_empty() {
-            println!("result {i}:      scalar");
-        } else {
-            let dims: Vec<String> = shape.iter().map(|d| format!("[{d}]")).collect();
-            println!("result {i}:      {}", dims.join(""));
-        }
-    }
+    print_shapes(&reply.values);
 
     if rest.iter().any(|a| a == "--check-local") {
         // Re-run locally with identical inputs on the vm backend and
         // require bitwise-identical results.
-        let sprog = lang::parse_program(&src).map_err(|e| Parse(format!("{file}: {e}")))?;
-        let prog =
-            lang::compile_sprogram(&sprog, entry).map_err(|e| Type(format!("{file}: {e}")))?;
-        let fl = compiler::flatten_incremental(&prog).map_err(|e| Fail(e.to_string()))?;
+        let (fl, _) = compile(file, &src, entry, &FlattenConfig::incremental(), false)?;
         let (vals, cfg) = spec.resolve(&fl.thresholds, None).map_err(Fail)?;
         let compiled = vm::compile(&fl.prog).map_err(|e| Fail(e.to_string()))?;
         let local = vm::run_compiled(&compiled, &vals, &cfg).map_err(|e| Fail(e.to_string()))?;

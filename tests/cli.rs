@@ -249,8 +249,16 @@ fn lint_is_clean_on_healthy_programs_and_compile_verify_passes() {
             flatc_status(&["compile", src, "matmul", "--verify"]);
         assert_eq!(code, Some(0), "{stderr}");
         assert!(stdout.contains("segmap^1"), "{stdout}");
-        assert!(stderr.contains("verify: clean"), "{stderr}");
+        assert!(stderr.contains("verify: clean across 6 stages"), "{stderr}");
     });
+
+    // A configuration outside the sweep is verified too: what `--full`
+    // prints adds its raw and simplified stages to the six.
+    let (code, stdout, stderr) =
+        flatc_status(&["compile", "examples/matmul.fut", "matmul", "--full", "--verify"]);
+    assert_eq!(code, Some(0), "{stderr}");
+    assert!(stdout.contains("segred^1"), "{stdout}");
+    assert!(stderr.contains("verify: clean across 8 stages"), "{stderr}");
 }
 
 /// Parse, type, and lint failures must be distinguishable by exit code

@@ -26,6 +26,13 @@ fn default_server() -> serve::ServerHandle {
     start_server(ServerConfig::default())
 }
 
+/// The local reference compiles exactly as the daemon does: through the
+/// compile driver, fusion included.
+fn compile(source: &str, entry: &str) -> Result<compiler::Flattened, String> {
+    let cfg = compiler::FlattenConfig::incremental();
+    compiler::driver::compile(source, entry, &cfg, &mut |_| {}).map_err(|e| e.to_string())
+}
+
 /// Execute `source` remotely and locally (vm backend, identical specs
 /// and data seed) and require bitwise-identical results.
 fn check_remote_matches_local(
@@ -45,8 +52,7 @@ fn check_remote_matches_local(
         }))
         .unwrap_or_else(|e| panic!("{name}: remote exec: {e}"));
 
-    let prog = lang::compile(source, entry).unwrap_or_else(|e| panic!("{name}: {e}"));
-    let fl = compiler::flatten_incremental(&prog).unwrap();
+    let fl = compile(source, entry).unwrap_or_else(|e| panic!("{name}: {e}"));
     let abs: Vec<gpu::AbsValue> = specs
         .iter()
         .map(|s| proto::parse_abs_value(s).unwrap_or_else(|e| panic!("{name}: {e}")))
@@ -151,8 +157,7 @@ fn served_overrides_match_the_local_resolve() {
     let server = start_server(ServerConfig { threads: Some(2), ..ServerConfig::default() });
     let mut client = Client::connect(server.addr()).unwrap();
     let source = std::fs::read_to_string("examples/locvolcalib.fut").unwrap();
-    let prog = lang::compile(&source, "locvolcalib").unwrap();
-    let fl = compiler::flatten_incremental(&prog).unwrap();
+    let fl = compile(&source, "locvolcalib").unwrap();
     // The tuning text takes every guard; the override then refuses the
     // root (wire integers stop at 2^53), so the path shows both.
     let mut take_all = Thresholds::new();
