@@ -4,9 +4,11 @@
 //!
 //! Each kernel is a `(leaf, join)` pair over an index split:
 //!
-//! * `segmap`: the flattened space is cut into grain-sized chunks; each
-//!   task runs [`Tier::map_range`] into a private accumulator; the join
-//!   is concatenation in task order.
+//! * `segmap`: the flattened space is cut into chunks of at most a grain
+//!   — at host level, of `min(grain, ⌈points/16⌉)` points, so a narrow
+//!   outer map still yields about 16 tasks; each task runs
+//!   [`Tier::map_range`] into a private accumulator; the join is
+//!   concatenation in task order.
 //! * `segred`: each (segment, block) task runs [`Tier::fold_block`] from
 //!   the neutral element; the join is the operator itself
 //!   ([`Tier::combine`]), left-to-right per segment. With one block per
@@ -20,9 +22,10 @@
 //!
 //! ## Determinism
 //!
-//! The [`Split`] depends on the iteration space and the configured
-//! *grain* only — never on the thread count — and task results are
-//! joined in task order on the calling thread. Two runs with different
+//! The [`Split`] depends on the iteration space, the configured *grain*
+//! and the launch level (host or kernel-side) only — never on the
+//! thread count — and task results are joined in task order on the
+//! calling thread. Two runs with different
 //! `FLAT_EXEC_THREADS` therefore produce bit-identical values, and two
 //! tiers with equivalent leaves produce bit-identical values, paths and
 //! launch records, because there is no second copy of this file's logic
@@ -76,6 +79,12 @@ pub fn err<T>(msg: impl Into<String>) -> Result<T> {
 /// large enough that per-task overhead stays negligible.
 pub const DEFAULT_GRAIN: usize = 256;
 
+/// Tasks a host-level `segmap` is cut into when it is narrower than
+/// this many grains: its chunks shrink below the grain (to one point at
+/// least) so the outer map alone occupies the pool, and the segops
+/// nested in its body run inline inside those tasks.
+const MAP_TASKS: usize = 16;
+
 /// Executor configuration.
 #[derive(Clone, Debug)]
 pub struct ExecConfig {
@@ -85,8 +94,9 @@ pub struct ExecConfig {
     /// Thread count; `None` uses the process default, which honours
     /// `FLAT_EXEC_THREADS`.
     pub threads: Option<usize>,
-    /// Elements per parallel task. Fixes the kernel decomposition
-    /// independently of the thread count (see the module docs).
+    /// At most this many elements per parallel task. Fixes the kernel
+    /// decomposition independently of the thread count (see the module
+    /// docs).
     pub grain: usize,
     /// Collect pool scheduler counters (steals, parks, busy time) and
     /// per-kernel telemetry. Off by default; purely observational — the
@@ -156,7 +166,7 @@ pub struct ExecReport {
     pub wall_nanos: f64,
     /// Threads the pool used (caller included).
     pub threads: usize,
-    /// The grain size the decomposition used.
+    /// The grain the decomposition used: the most elements of a task.
     pub grain: usize,
     /// Pool scheduler counters scoped to this run (`Some` only when
     /// `ExecConfig::telemetry` or `worker_trace` was set).
@@ -459,7 +469,7 @@ pub trait Tier: Sync {
 }
 
 /// How a kernel's iteration space is cut into tasks: `segments` ×
-/// `blocks` tasks, task `t` covering a grain-sized range of segment
+/// `blocks` tasks, task `t` covering a `grain`-sized range of segment
 /// `t / blocks`. A `segmap` is one segment over the flattened space.
 /// The pool dispatch, [`ExecLaunch::tasks`] and the task-size histogram
 /// are all read from this.
@@ -614,14 +624,19 @@ impl Kernels {
         }
         let total: i64 = widths.iter().product();
         let segments: i64 = outer.iter().product();
+        let trail = fr.as_mut();
+        let record = !trail.in_kernel;
         let (split, out_shape) = match k.kind {
+            // Concatenation keeps the values of any chunking.
+            Kind::Map if record => {
+                let chunk = self.grain.min((total as usize).div_ceil(MAP_TASKS)).max(1);
+                (Split::new(1, total, chunk, false), widths)
+            }
             Kind::Map => (Split::new(1, total, self.grain, false), widths),
             Kind::Red => (Split::new(segments, inner_w, self.grain, true), outer),
             Kind::Scan => (Split::new(segments, inner_w, self.grain, false), widths),
         };
 
-        let trail = fr.as_mut();
-        let record = !trail.in_kernel;
         let path = if record { gpu_sim::path_signature(&trail.path) } else { Vec::new() };
         let start_nanos = self.t0.elapsed().as_nanos() as f64;
         let _span = record.then(|| flat_obs::span(self.tier, k.kind.name()));
@@ -832,12 +847,15 @@ impl Kernels {
 mod tests {
     use super::*;
     use flat_ir::ast::LVL_GRID;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// A third tier with nothing to evaluate: `[n][m]i64` rows in a
     /// slice, `+` as the operator, `2x + 1` as the `segmap` body.
     struct Toy<'a> {
         rows: &'a [i64],
         m: usize,
+        /// `map_range` calls: one per `segmap` task.
+        chunks: AtomicUsize,
     }
 
     struct ToyFrame {
@@ -875,6 +893,7 @@ mod tests {
         }
 
         fn map_range(&self, _: &mut ToyFrame, range: Range<usize>, sink: &mut Accs) -> Result<()> {
+            self.chunks.fetch_add(1, Ordering::Relaxed);
             range.into_iter().try_for_each(|flat| push(sink, 2 * self.rows[flat] + 1))
         }
 
@@ -939,7 +958,7 @@ mod tests {
                         prov: Prov::UNKNOWN,
                         body_ret: &[Type::i64()],
                     };
-                    let toy = Toy { rows: &rows, m };
+                    let toy = Toy { rows: &rows, m, chunks: AtomicUsize::new(0) };
                     let put = |_: &mut ToyFrame, v| {
                         values.push(v);
                         Ok(())
@@ -952,12 +971,53 @@ mod tests {
                     let want = Value::array_from(shape.clone(), Buffer::I64(data.clone()));
                     assert_eq!(got, &want, "{}: {at}", kind.name());
                     let tasks = match kind {
-                        Kind::Map => (n * m).div_ceil(grain),
+                        Kind::Map => (n * m).div_ceil(grain.min((n * m).div_ceil(16))),
                         _ => n * m.div_ceil(grain),
                     };
                     assert_eq!(l.tasks, tasks as u64, "{}: {at}", kind.name());
                     let sizes = &l.telem.as_ref().expect("telemetry on").task_sizes;
                     assert_eq!((sizes.count, sizes.sum), (l.tasks, (n * m) as u64), "{}: {at}", kind.name());
+                }
+            }
+        }
+    }
+
+    /// A host `segmap` narrower than 16 grains is cut into about 16
+    /// tasks (one per point below 16 points); a wide one, and any
+    /// kernel-side one, keeps `⌈points/grain⌉`. The values never move.
+    #[test]
+    fn a_host_segmap_gets_about_sixteen_tasks_and_a_kernel_side_one_keeps_the_grain() {
+        let launch = Launch {
+            name: &"toy",
+            kind: Kind::Map,
+            level: LVL_GRID,
+            prov: Prov::UNKNOWN,
+            body_ret: &[Type::i64()],
+        };
+        for (points, host, kernel_side) in [(64, 16, 1), (8, 8, 1), (100, 15, 1), (65536, 256, 256)] {
+            let rows: Vec<i64> = (0..points as i64).map(|i| i * 7 - 3).collect();
+            let want = Value::array_from(
+                vec![points as i64],
+                Buffer::I64(rows.iter().map(|x| 2 * x + 1).collect()),
+            );
+            for threads in [1, 2, 4] {
+                let cfg = ExecConfig { threads: Some(threads), ..ExecConfig::default() };
+                let kernels = Kernels::begin("toy", &cfg);
+                for (trail, tasks) in [(Trail::default(), host), (Trail::task(), kernel_side)] {
+                    let at = format!("{points} points, {threads} threads, {tasks} tasks");
+                    let toy = Toy { rows: &rows, m: points, chunks: AtomicUsize::new(0) };
+                    let mut fr = ToyFrame { seg: usize::MAX, trail };
+                    let mut got = None;
+                    let put = |_: &mut ToyFrame, v| {
+                        got = Some(v);
+                        Ok(())
+                    };
+                    kernels.launch(&toy, &mut fr, &launch, &[points as i64], put).unwrap();
+                    assert_eq!(got.as_ref(), Some(&want), "{at}");
+                    assert_eq!(toy.chunks.into_inner(), tasks, "{at}");
+                    let recorded: Vec<u64> = fr.trail.launches.iter().map(|l| l.tasks).collect();
+                    let want_recorded = if fr.trail.in_kernel { vec![] } else { vec![tasks as u64] };
+                    assert_eq!(recorded, want_recorded, "{at}");
                 }
             }
         }

@@ -122,12 +122,14 @@ impl HistogramSnapshot {
 
     /// Estimate the `q`-quantile (`0.0 ..= 1.0`) from the log2 buckets.
     ///
-    /// The true value is only known to lie within its bucket's range
-    /// `(2^(k-1), 2^k]` (or `[0, 1]` for bucket 0), so the estimate
-    /// interpolates linearly by rank within that range and is clamped
-    /// to the observed maximum. Exact when all observations share a
-    /// bucket boundary; otherwise accurate to within a factor of 2 —
-    /// plenty for the order-of-magnitude quantities recorded here.
+    /// The bucket is the one holding the nearest-rank observation (the
+    /// `⌈q·count⌉`-th smallest). Its value is only known to lie within
+    /// the bucket's range `(2^(k-1), 2^k]` (or `[0, 1]` for bucket 0),
+    /// so the estimate interpolates linearly by rank within that range
+    /// and is clamped to the observed maximum. Exact when all
+    /// observations share a bucket boundary; otherwise accurate to
+    /// within a factor of 2 — plenty for the order-of-magnitude
+    /// quantities recorded here.
     pub fn quantile(&self, q: f64) -> f64 {
         if self.count == 0 {
             return 0.0;
@@ -139,22 +141,18 @@ impl HistogramSnapshot {
             return self.max as f64;
         }
         let q = q.clamp(0.0, 1.0);
-        // Rank in [0, count-1], "nearest rank with interpolation".
-        let rank = q * (self.count - 1) as f64;
+        // Index in [0, count-1] of the nearest-rank observation.
+        let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count) - 1;
         let mut below = 0u64;
         for &(k, c) in &self.buckets {
-            let in_bucket = rank - below as f64;
-            if in_bucket < c as f64 {
+            if rank < below + c {
                 let (lo, hi) = if k == 0 {
                     (0.0, 1.0)
                 } else {
                     (2f64.powi(k as i32 - 1), 2f64.powi(k as i32))
                 };
-                // Position of the rank inside this bucket, clamped to
-                // (0, 1]: with fractional ranks `(in_bucket + 1) / c`
-                // can exceed 1, which would overshoot the bucket's own
-                // upper bound (only the *global* max used to clamp it).
-                let frac = ((in_bucket + 1.0) / c as f64).min(1.0);
+                // Position of the rank inside this bucket, in (0, 1].
+                let frac = (rank - below + 1) as f64 / c as f64;
                 return (lo + (hi - lo) * frac).min(self.max as f64);
             }
             below += c;
@@ -397,6 +395,46 @@ mod tests {
             (2.0..=4.0).contains(&est),
             "q=0.6 rank lands in bucket 2..4, got {est}"
         );
+    }
+
+    #[test]
+    fn small_counts_pick_the_nearest_rank_bucket() {
+        // The nearest-rank observation of p90 and p99 is 98, in the
+        // (64, 128] bucket, which the max clamps; p50's is 12, in (8, 16].
+        let h = Histogram::default();
+        for v in [12u64, 98] {
+            h.observe(v);
+        }
+        let snap = h.snapshot();
+        assert_eq!(snap.p50(), 16.0);
+        assert_eq!(snap.p90(), 98.0);
+        assert_eq!(snap.p99(), 98.0);
+    }
+
+    #[test]
+    fn quantiles_are_ordered_for_every_small_multiset() {
+        const VALUES: [u64; 6] = [0, 1, 3, 12, 98, 1000];
+        // Every multiset of up to 6 values, as non-decreasing index lists.
+        fn visit(picked: &mut Vec<u64>, from: usize, seen: &mut usize) {
+            let h = Histogram::default();
+            for &v in picked.iter() {
+                h.observe(v);
+            }
+            let s = h.snapshot();
+            let qs = [s.p50(), s.p90(), s.p99(), s.max as f64];
+            assert!(qs.windows(2).all(|w| w[0] <= w[1]), "{picked:?}: {qs:?}");
+            *seen += 1;
+            if picked.len() < 6 {
+                for (i, &v) in VALUES.iter().enumerate().skip(from) {
+                    picked.push(v);
+                    visit(picked, i, seen);
+                    picked.pop();
+                }
+            }
+        }
+        let mut seen = 0;
+        visit(&mut Vec::new(), 0, &mut seen);
+        assert_eq!(seen, 924, "C(12, 6) multisets of size 0..=6");
     }
 
     #[test]

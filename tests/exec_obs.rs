@@ -271,6 +271,32 @@ fn one_block_segscan_dispatches_each_segment_once() {
     }
 }
 
+/// A narrow host segmap is cut into one task per row, so the segred in
+/// each row's body runs inline inside that task: every pool task the run
+/// counts is one of the launch's own. A one-task segmap would run inline
+/// outside the pool, and each row's segred would go back to the pool as
+/// 16 blocks.
+#[test]
+fn segops_nested_in_a_narrow_segmap_run_inline() {
+    let _guard = POOL_LOCK.lock().unwrap();
+    let fl = flatten(SUMROWS, "sumrows");
+    let specs = vec![
+        gpu::AbsValue::known(ir::Const::I64(8)),
+        gpu::AbsValue::known(ir::Const::I64(4096)),
+        gpu::AbsValue::array(vec![8, 4096], ir::ScalarType::F32),
+    ];
+    let args = exec::materialize(&specs, 7).unwrap();
+    let mut c = ExecConfig { threads: Some(2), telemetry: true, ..ExecConfig::default() };
+    for (name, v) in [("suff_outer_par_0", 1i64 << 40), ("suff_intra_par_1", 1)] {
+        let t = fl.thresholds.iter().find(|t| t.name == name).expect("sumrows threshold");
+        c.thresholds.set(t.id, v);
+    }
+    let rep = vm::run_program(&fl.prog, &args, &c).unwrap();
+    let [map] = &rep.launches[..] else { panic!("{:?}", rep.launches) };
+    assert_eq!((map.kind, map.tasks), ("segmap", 8));
+    assert_eq!(rep.pool.as_ref().expect("telemetry on").total().tasks, map.tasks);
+}
+
 #[test]
 fn sample_log_round_trips_through_the_autotune_loader() {
     let _guard = POOL_LOCK.lock().unwrap();
