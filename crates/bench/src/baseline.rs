@@ -20,43 +20,6 @@ use std::fs;
 use std::io;
 use std::path::Path;
 
-/// Per-repetition spread of a wall-clock measurement. Simulated entries
-/// have none (the simulator is exact); exec entries record how noisy
-/// the median headline number was, so a regression report can be read
-/// against the measurement's own variance.
-#[derive(Clone, Debug, PartialEq)]
-pub struct RunStats {
-    pub runs: u64,
-    pub min: f64,
-    pub max: f64,
-    pub mean: f64,
-    pub stddev: f64,
-}
-
-impl ToJson for RunStats {
-    fn to_json(&self) -> Value {
-        Value::object(vec![
-            ("runs", Value::from(self.runs as i64)),
-            ("min", Value::from(self.min)),
-            ("max", Value::from(self.max)),
-            ("mean", Value::from(self.mean)),
-            ("stddev", Value::from(self.stddev)),
-        ])
-    }
-}
-
-impl RunStats {
-    pub fn of_measurement(m: &flat_exec::Measurement) -> RunStats {
-        RunStats {
-            runs: m.runs.len() as u64,
-            min: m.min_nanos,
-            max: m.max_nanos,
-            mean: m.mean_nanos,
-            stddev: m.stddev_nanos,
-        }
-    }
-}
-
 /// One measured benchmark × dataset × device point.
 #[derive(Clone, Debug, PartialEq)]
 pub struct BaselineEntry {
@@ -65,54 +28,17 @@ pub struct BaselineEntry {
     pub cycles: f64,
     pub microseconds: f64,
     pub kernels: u64,
-    /// Which backend produced the numbers: `"sim"` (simulated cycles)
-    /// or `"exec"` (measured wall-clock nanoseconds as "cycles").
-    /// Comparing across backends is meaningless, so `--check` refuses.
-    pub backend: String,
-    /// Per-rep spread, recorded by wall-clock backends; `None` for
-    /// simulated entries (and baselines written before it existed).
-    pub stats: Option<RunStats>,
 }
 
 impl ToJson for BaselineEntry {
     fn to_json(&self) -> Value {
-        let mut v = Value::object(vec![
+        Value::object(vec![
             ("key", Value::from(self.key.as_str())),
             ("cycles", Value::from(self.cycles)),
             ("microseconds", Value::from(self.microseconds)),
             ("kernels", Value::from(self.kernels as i64)),
-            ("backend", Value::from(self.backend.as_str())),
-        ]);
-        if let Some(s) = &self.stats {
-            v.insert("stats", s.to_json());
-        }
-        v
+        ])
     }
-}
-
-/// The git revision the toolchain was run from, if the working
-/// directory is a checkout with `git` on PATH. Recorded into baselines
-/// and perf-archive records so a number can be traced to the code that
-/// produced it.
-pub fn git_rev() -> Option<String> {
-    let out = std::process::Command::new("git")
-        .args(["rev-parse", "--short=12", "HEAD"])
-        .output()
-        .ok()?;
-    if !out.status.success() {
-        return None;
-    }
-    let rev = String::from_utf8(out.stdout).ok()?.trim().to_string();
-    if rev.is_empty() {
-        None
-    } else {
-        Some(rev)
-    }
-}
-
-/// The `flatc` version string recorded alongside measurements.
-pub fn version_string() -> String {
-    format!("flatc {}", env!("CARGO_PKG_VERSION"))
 }
 
 /// A set of baseline entries in deterministic (suite) order.
@@ -135,9 +61,32 @@ impl Baseline {
 
     /// Stamp the measuring toolchain's provenance onto the baseline.
     pub fn stamped(mut self) -> Baseline {
-        self.git_rev = git_rev();
-        self.version = Some(version_string());
+        self.git_rev = flat_perf::git_rev();
+        self.version = Some(flat_perf::version_string());
         self
+    }
+
+    /// The baseline as a perf-archive record of the whole suite on
+    /// `device`, one entry per point.
+    pub fn to_record(&self, device: &str) -> flat_perf::RunRecord {
+        let mut rec = flat_perf::RunRecord {
+            kind: "bench".to_string(),
+            program: "suite".to_string(),
+            backend: "sim".to_string(),
+            device: device.to_string(),
+            total_cycles: self.entries.iter().map(|e| e.cycles).sum(),
+            entries: self
+                .entries
+                .iter()
+                .map(|e| flat_perf::ArchivedEntry {
+                    key: e.key.clone(),
+                    cycles: e.cycles,
+                })
+                .collect(),
+            ..flat_perf::RunRecord::default()
+        };
+        flat_perf::stamp(&mut rec);
+        rec
     }
 
     pub fn to_json(&self) -> Value {
@@ -161,6 +110,19 @@ impl Baseline {
             .ok_or("baseline: missing `entries` array")?;
         let mut out = Vec::with_capacity(entries.len());
         for (i, e) in entries.iter().enumerate() {
+            // An entry tagged with a host backend (`"exec"`, `"vm"`)
+            // holds wall-clock nanoseconds, not cycles: refuse it rather
+            // than compare it.
+            match e.get("backend").map(Value::as_str) {
+                None | Some(Some("sim")) => {}
+                Some(b) => {
+                    return Err(format!(
+                        "baseline entry {i}: backend `{}` is not simulated cycles; \
+                         host timings are the ledger's (`ledger --workload kernels`)",
+                        b.unwrap_or("?")
+                    ))
+                }
+            }
             let field = |name: &str| {
                 e.get(name)
                     .and_then(Value::as_f64)
@@ -175,30 +137,6 @@ impl Baseline {
                 cycles: field("cycles")?,
                 microseconds: field("microseconds")?,
                 kernels: field("kernels")? as u64,
-                // Baselines written before the exec backend existed
-                // carry no backend field; they were all simulated.
-                backend: e
-                    .get("backend")
-                    .and_then(Value::as_str)
-                    .unwrap_or("sim")
-                    .to_string(),
-                stats: match e.get("stats") {
-                    None => None,
-                    Some(s) => {
-                        let sf = |name: &str| {
-                            s.get(name).and_then(Value::as_f64).ok_or_else(|| {
-                                format!("baseline entry {i}: stats missing numeric `{name}`")
-                            })
-                        };
-                        Some(RunStats {
-                            runs: sf("runs")? as u64,
-                            min: sf("min")?,
-                            max: sf("max")?,
-                            mean: sf("mean")?,
-                            stddev: sf("stddev")?,
-                        })
-                    }
-                },
             });
         }
         Ok(Baseline {
@@ -243,87 +181,10 @@ pub fn measure_suite(dev: &gpu_sim::DeviceSpec) -> Baseline {
                 cycles: rep.cost.total_cycles,
                 microseconds: dev.cycles_to_us(rep.cost.total_cycles),
                 kernels: rep.kernels.len() as u64,
-                backend: "sim".to_string(),
-                stats: None,
             });
         }
     }
     Baseline { entries, ..Baseline::default() }.stamped()
-}
-
-/// How one program is timed on the host: `flat_exec::measure`,
-/// `flat_vm::measure`, or anything with their shape.
-pub type HostMeasure = fn(
-    &flat_ir::Program,
-    &[flat_ir::value::Value],
-    &flat_exec::ExecConfig,
-    usize,
-    usize,
-) -> Result<(flat_exec::ExecReport, flat_exec::Measurement), flat_exec::ExecError>;
-
-/// Measure the whole suite by *real execution* on host threads, timing
-/// each benchmark's small semantics-testing arguments (the Table 1
-/// datasets are sized for simulated GPUs, not a CPU executor) with
-/// `measure`. Keys use the `"{bench}/test/host"` form and entries carry
-/// `backend` (`"exec"`, `"vm"`), so `compare` can refuse to diff them
-/// against simulated baselines or each other.
-pub fn measure_suite_host(
-    backend: &str,
-    measure: HostMeasure,
-    threads: Option<usize>,
-    reps: usize,
-    warmup: usize,
-) -> Baseline {
-    use rand::SeedableRng as _;
-    let cfg = incflat::FlattenConfig::incremental();
-    let exec_cfg = flat_exec::ExecConfig { threads, ..flat_exec::ExecConfig::default() };
-    let mut entries = Vec::new();
-    for b in benchmarks::all_benchmarks() {
-        let fl = b.flatten(&cfg);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(0xF1A7);
-        let args = (b.test_args)(&mut rng);
-        let (rep, m) = measure(&fl.prog, &args, &exec_cfg, reps, warmup)
-            .unwrap_or_else(|e| panic!("{}: {e}", b.name));
-        entries.push(BaselineEntry {
-            key: format!("{}/test/host", b.name),
-            cycles: m.median_nanos,
-            microseconds: m.median_nanos / 1_000.0,
-            kernels: rep.launches.len() as u64,
-            backend: backend.to_string(),
-            stats: Some(RunStats::of_measurement(&m)),
-        });
-    }
-    Baseline { entries, ..Baseline::default() }.stamped()
-}
-
-/// The single backend all entries agree on, or an error naming the
-/// mixture. An empty baseline counts as `"sim"`.
-pub fn backend_of(b: &Baseline) -> Result<&str, String> {
-    let first = b.entries.first().map(|e| e.backend.as_str()).unwrap_or("sim");
-    for e in &b.entries {
-        if e.backend != first {
-            return Err(format!(
-                "baseline mixes backends: `{first}` and `{}` (entry {})",
-                e.backend, e.key
-            ));
-        }
-    }
-    Ok(first)
-}
-
-/// Refuse to compare measurements from different backends: simulated
-/// cycles and wall-clock nanoseconds are not commensurable.
-pub fn check_same_backend(base: &Baseline, current: &Baseline) -> Result<(), String> {
-    let b = backend_of(base)?;
-    let c = backend_of(current)?;
-    if b != c {
-        return Err(format!(
-            "cannot compare across backends: baseline was measured with `{b}`, \
-             current measurement with `{c}` — re-record the baseline with \
-             `flatc bench --write --backend {c}`"
-        ));
-    }
-    Ok(())
 }
 
 /// One point's deviation from its baseline.
@@ -443,23 +304,16 @@ mod tests {
             cycles,
             microseconds: cycles / 745.0,
             kernels: 3,
-            backend: "sim".to_string(),
-            stats: None,
         }
     }
 
     #[test]
     fn json_round_trip() {
-        let mut with_stats = entry("m/d1/K40", 9.0);
-        with_stats.backend = "exec".to_string();
-        with_stats.stats = Some(RunStats {
-            runs: 5,
-            min: 8.0,
-            max: 11.0,
-            mean: 9.2,
-            stddev: 1.1,
-        });
-        let b = Baseline { entries: vec![entry("m/d0/K40", 1234.5), with_stats], ..Baseline::default() }.stamped();
+        let b = Baseline {
+            entries: vec![entry("m/d0/K40", 1234.5), entry("m/d1/K40", 9.0)],
+            ..Baseline::default()
+        }
+        .stamped();
         let text = json::to_string_pretty(&b.to_json()).unwrap();
         let back = Baseline::from_json(&json::from_str(&text).unwrap()).unwrap();
         assert_eq!(back, b);
@@ -519,49 +373,20 @@ mod tests {
     }
 
     #[test]
-    fn baseline_without_backend_field_defaults_to_sim() {
-        let text = r#"{"entries": [{"key": "a/b/c", "cycles": 1.0,
-                       "microseconds": 0.1, "kernels": 2}]}"#;
-        let b = Baseline::from_json(&json::from_str(text).unwrap()).unwrap();
-        assert_eq!(b.entries[0].backend, "sim");
-    }
-
-    #[test]
-    fn cross_backend_comparison_is_refused() {
-        let sim = Baseline { entries: vec![entry("a", 100.0)], ..Baseline::default() };
-        let mut ex = entry("a", 5_000.0);
-        ex.backend = "exec".to_string();
-        let exec = Baseline { entries: vec![ex], ..Baseline::default() };
-        assert!(check_same_backend(&sim, &sim).is_ok());
-        assert!(check_same_backend(&exec, &exec).is_ok());
-        let err = check_same_backend(&sim, &exec).unwrap_err();
-        assert!(err.contains("cannot compare across backends"), "{err}");
-        assert!(err.contains("`sim`") && err.contains("`exec`"), "{err}");
-        // A baseline that internally mixes backends is also rejected.
-        let mixed = Baseline {
-            entries: vec![entry("a", 1.0), {
-                let mut e = entry("b", 2.0);
-                e.backend = "exec".into();
-                e
-            }],
-            ..Baseline::default()
+    fn only_simulated_entries_load() {
+        let with = |backend: &str| {
+            format!(
+                r#"{{"entries": [{{"key": "a/b/c", "cycles": 1.0,
+                   "microseconds": 0.1, "kernels": 2{backend}}}]}}"#
+            )
         };
-        assert!(backend_of(&mixed).is_err());
-    }
-
-    #[test]
-    fn exec_suite_measurement_has_exec_backend() {
-        let b = measure_suite_host("exec", flat_exec::measure, Some(2), 2, 0);
-        assert!(!b.entries.is_empty());
-        assert!(b.entries.iter().all(|e| e.backend == "exec"));
-        assert!(b.entries.iter().all(|e| e.cycles > 0.0));
-        assert_eq!(backend_of(&b).unwrap(), "exec");
-        // Wall-clock entries carry their per-rep spread.
-        for e in &b.entries {
-            let s = e.stats.as_ref().expect("exec entry records run stats");
-            assert_eq!(s.runs, 2);
-            assert!(s.min <= e.cycles && e.cycles <= s.max, "{}", e.key);
-            assert!(s.stddev >= 0.0);
+        for ok in ["", r#", "backend": "sim""#] {
+            assert!(Baseline::from_json(&json::from_str(&with(ok)).unwrap()).is_ok(), "{ok}");
+        }
+        for host in ["exec", "vm"] {
+            let text = with(&format!(r#", "backend": "{host}""#));
+            let err = Baseline::from_json(&json::from_str(&text).unwrap()).unwrap_err();
+            assert!(err.contains(&format!("backend `{host}`")) && err.contains("ledger"), "{err}");
         }
     }
 

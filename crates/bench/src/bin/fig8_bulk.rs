@@ -73,17 +73,19 @@ fn main() -> std::io::Result<()> {
         println!("\n================ Figure 8 — speedup over MF on {} ================", dev.name);
         // Run benchmarks in parallel; print in order.
         let benches = benchmarks::bulk_benchmarks();
-        let results: Vec<BenchResult> = crossbeam::thread::scope(|s| {
+        let results: Vec<BenchResult> = std::thread::scope(|s| {
             let handles: Vec<_> = benches
                 .iter()
                 .map(|b| {
                     let dev = dev.clone();
-                    s.spawn(move |_| run_benchmark(b, &dev))
+                    s.spawn(move || run_benchmark(b, &dev))
                 })
                 .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        })
-        .expect("benchmark threads panicked");
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("benchmark thread panicked"))
+                .collect()
+        });
         for r in results {
             println!("{}", r.name);
             for l in &r.lines {

@@ -1,76 +1,7 @@
-//! `flatd-bench`: a closed-/open-loop latency load generator for the
-//! daemon, exposed as `flatc serve-bench`.
-//!
-//! Three phases, so the report separates compile cost from cache
-//! behaviour from concurrency behaviour:
-//!
-//! 1. **cold** — `programs` distinct program variants are executed once
-//!    each over a single connection. Every request misses the compile
-//!    cache, so these latencies include compilation.
-//! 2. **hit** — the same variants again, same connection, repeated
-//!    until at least 200 samples. Every request hits the cache; the
-//!    cold-p99 / hit-p99 ratio is the headline number for content-hash
-//!    caching.
-//! 3. **storm** — `sessions` concurrent connections each issue
-//!    `requests` exec requests against the (now warm) cache. Closed
-//!    loop by default (next request after the previous reply); passing
-//!    `rate_per_session` switches to an open loop where requests are
-//!    issued on a fixed schedule and queueing delay shows up as
-//!    latency, not as reduced offered load.
-//!
-//! The report carries p50/p99 per phase, throughput, error/rejection
-//! counts, and the daemon's cache hit rate over the storm window
-//! (measured from `status` deltas), and can be archived as a flat-perf
-//! [`RunRecord`] with backend `"flatd"`.
-
-use crate::client::{Client, ClientError, ExecSpec};
-use flat_obs::json::Value;
-use std::net::SocketAddr;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
-
-/// Load-generator knobs.
-#[derive(Clone, Debug)]
-pub struct LoadConfig {
-    pub addr: SocketAddr,
-    /// Concurrent connections in the storm phase.
-    pub sessions: usize,
-    /// Exec requests per session (closed loop) or total schedule length
-    /// per session (open loop).
-    pub requests: usize,
-    /// Distinct program variants for the cold/hit phases (each is also
-    /// the program pool the storm draws from).
-    pub programs: usize,
-    /// Requests per second per session; `None` = closed loop.
-    pub rate_per_session: Option<f64>,
-    /// Deadline attached to storm requests.
-    pub deadline_ms: Option<u64>,
-    /// Seed for program-to-session assignment.
-    pub seed: u64,
-    /// Base program source; `{N}` is replaced to make variants distinct.
-    pub source: String,
-    pub entry: String,
-    /// Argument specs for each exec.
-    pub args: Vec<String>,
-}
-
-impl Default for LoadConfig {
-    fn default() -> LoadConfig {
-        LoadConfig {
-            addr: "127.0.0.1:0".parse().expect("literal addr"),
-            sessions: 32,
-            requests: 8,
-            programs: 16,
-            rate_per_session: None,
-            deadline_ms: None,
-            seed: 0x10ad,
-            source: default_source(),
-            entry: "main".to_string(),
-            args: vec!["256".to_string(), "[256]i64".to_string()],
-        }
-    }
-}
+//! The daemon's reference workload: a module-scale program and its
+//! cache-distinct variants. The `flat-ledger` benchmark's `serve-hit`
+//! workload and the daemon's tests send these, so a served request
+//! pays for a realistic parse and elaboration on a cache miss.
 
 /// The entry point of the default workload: a small reduction, cheap to
 /// execute so the storm phase measures the service, not the kernel.
@@ -95,343 +26,15 @@ pub fn default_source() -> String {
     src
 }
 
-/// Latency percentiles over one phase, in nanoseconds.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Percentiles {
-    pub count: usize,
-    pub p50: f64,
-    pub p99: f64,
-    pub max: f64,
-}
-
-impl Percentiles {
-    fn of(mut nanos: Vec<f64>) -> Percentiles {
-        if nanos.is_empty() {
-            return Percentiles::default();
-        }
-        nanos.sort_by(|a, b| a.partial_cmp(b).expect("finite latency"));
-        let pick = |q: f64| {
-            let idx = ((nanos.len() as f64 - 1.0) * q).round() as usize;
-            nanos[idx.min(nanos.len() - 1)]
-        };
-        Percentiles {
-            count: nanos.len(),
-            p50: pick(0.50),
-            p99: pick(0.99),
-            max: *nanos.last().expect("nonempty"),
-        }
-    }
-}
-
-/// What one load run measured.
-#[derive(Clone, Debug, Default)]
-pub struct LoadReport {
-    pub cold: Percentiles,
-    pub hit: Percentiles,
-    pub storm: Percentiles,
-    /// Storm wall time.
-    pub storm_nanos: f64,
-    /// Completed storm requests per second.
-    pub throughput: f64,
-    pub completed: u64,
-    pub rejected: u64,
-    pub deadline_missed: u64,
-    pub errors: u64,
-    /// Compile-cache hit rate over the storm window, from status deltas.
-    pub storm_hit_rate: f64,
-    pub sessions: usize,
-    pub open_loop: bool,
-}
-
-impl LoadReport {
-    /// The stats as archive entries (key/value pairs); `cycles` carries
-    /// the value since the archive schema has one numeric slot.
-    pub fn entries(&self) -> Vec<(String, f64)> {
-        vec![
-            ("cold_p50_ns".to_string(), self.cold.p50),
-            ("cold_p99_ns".to_string(), self.cold.p99),
-            ("hit_p50_ns".to_string(), self.hit.p50),
-            ("hit_p99_ns".to_string(), self.hit.p99),
-            ("storm_p50_ns".to_string(), self.storm.p50),
-            ("storm_p99_ns".to_string(), self.storm.p99),
-            ("storm_max_ns".to_string(), self.storm.max),
-            ("throughput_rps".to_string(), self.throughput),
-            ("completed".to_string(), self.completed as f64),
-            ("rejected".to_string(), self.rejected as f64),
-            ("deadline_missed".to_string(), self.deadline_missed as f64),
-            ("errors".to_string(), self.errors as f64),
-            ("storm_hit_rate".to_string(), self.storm_hit_rate),
-            ("sessions".to_string(), self.sessions as f64),
-        ]
-    }
-
-    pub fn to_json(&self) -> Value {
-        Value::object(self.entries().into_iter().map(|(k, v)| (k, Value::from(v))).collect())
-    }
-
-    /// Render the human-readable report `flatc serve-bench` prints.
-    pub fn render(&self) -> String {
-        let ms = |ns: f64| ns / 1e6;
-        let mut out = String::new();
-        out.push_str(&format!(
-            "flatd-bench: {} sessions, {} loop\n",
-            self.sessions,
-            if self.open_loop { "open" } else { "closed" }
-        ));
-        out.push_str(&format!(
-            "  cold  compile+exec  p50 {:8.3} ms  p99 {:8.3} ms  (n={})\n",
-            ms(self.cold.p50),
-            ms(self.cold.p99),
-            self.cold.count
-        ));
-        out.push_str(&format!(
-            "  hit   cached  exec  p50 {:8.3} ms  p99 {:8.3} ms  (n={})\n",
-            ms(self.hit.p50),
-            ms(self.hit.p99),
-            self.hit.count
-        ));
-        if self.hit.p99 > 0.0 {
-            out.push_str(&format!(
-                "  cache speedup: cold p99 / hit p99 = {:.1}x\n",
-                self.cold.p99 / self.hit.p99
-            ));
-        }
-        out.push_str(&format!(
-            "  storm latency      p50 {:8.3} ms  p99 {:8.3} ms  max {:8.3} ms  (n={})\n",
-            ms(self.storm.p50),
-            ms(self.storm.p99),
-            ms(self.storm.max),
-            self.storm.count
-        ));
-        out.push_str(&format!(
-            "  throughput {:.0} req/s, completed {}, rejected {}, deadline {}, errors {}\n",
-            self.throughput, self.completed, self.rejected, self.deadline_missed, self.errors
-        ));
-        out.push_str(&format!("  storm cache hit rate {:.3}\n", self.storm_hit_rate));
-        out
-    }
-}
-
 /// The `i`th distinct program variant: comments keep semantics (and
 /// results) identical while changing the content hash.
 pub fn variant(source: &str, i: usize) -> String {
     format!("-- variant {i}\n{source}\n")
 }
 
-/// SplitMix64 — a deterministic hash for program-to-request assignment.
-fn splitmix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e3779b97f4a7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);
-    x ^ (x >> 31)
-}
-
-fn cache_counters(status: &Value) -> (u64, u64) {
-    let cache = status.get("cache");
-    let get = |k: &str| {
-        cache
-            .and_then(|c| c.get("compile"))
-            .and_then(|c| c.get(k))
-            .and_then(Value::as_u64)
-            .unwrap_or(0)
-    };
-    (get("hits"), get("misses"))
-}
-
-/// Run the three-phase load test against a live daemon.
-pub fn run(cfg: &LoadConfig) -> Result<LoadReport, ClientError> {
-    let variants: Vec<String> =
-        (0..cfg.programs.max(1)).map(|i| variant(&cfg.source, i)).collect();
-    let spec_for = |src: &str, deadline: Option<u64>| ExecSpec {
-        source: Some(src.to_string()),
-        entry: cfg.entry.clone(),
-        args: cfg.args.clone(),
-        deadline_ms: deadline,
-        ..ExecSpec::default()
-    };
-
-    // Phase 1 + 2: cold then hit, one connection, sequential.
-    let mut probe = Client::connect_timeout(&cfg.addr, Duration::from_secs(5))?;
-    let mut cold = Vec::with_capacity(variants.len());
-    for v in &variants {
-        let t = Instant::now();
-        let reply = probe.exec(&crate::client::exec_request(spec_for(v, None)))?;
-        cold.push(t.elapsed().as_nanos() as f64);
-        if reply.cached {
-            return Err(ClientError::Proto(
-                "cold-phase request hit the cache; daemon was not fresh".to_string(),
-            ));
-        }
-    }
-    // Enough hit samples that p99 is an order statistic, not the max of
-    // a handful of round trips.
-    const MIN_HIT_SAMPLES: usize = 200;
-    let hit_rounds = MIN_HIT_SAMPLES.div_ceil(variants.len());
-    let mut hit = Vec::with_capacity(hit_rounds * variants.len());
-    for _ in 0..hit_rounds {
-        for v in &variants {
-            let t = Instant::now();
-            let reply = probe.exec(&crate::client::exec_request(spec_for(v, None)))?;
-            hit.push(t.elapsed().as_nanos() as f64);
-            if !reply.cached {
-                return Err(ClientError::Proto(
-                    "hit-phase request missed the cache".to_string(),
-                ));
-            }
-        }
-    }
-
-    // Phase 3: the storm.
-    let (hits0, misses0) = cache_counters(&probe.status()?);
-    let completed = Arc::new(AtomicU64::new(0));
-    let rejected = Arc::new(AtomicU64::new(0));
-    let deadline_missed = Arc::new(AtomicU64::new(0));
-    let errors = Arc::new(AtomicU64::new(0));
-    let latencies: Arc<Mutex<Vec<f64>>> = Arc::new(Mutex::new(Vec::new()));
-    let storm_start = Instant::now();
-    let mut threads = Vec::with_capacity(cfg.sessions);
-    for s in 0..cfg.sessions {
-        let addr = cfg.addr;
-        let requests = cfg.requests;
-        let rate = cfg.rate_per_session;
-        let deadline = cfg.deadline_ms;
-        // Deterministic program choice per (seed, session, request).
-        let pick_base = splitmix(cfg.seed ^ s as u64);
-        let specs: Vec<ExecSpec> = (0..requests)
-            .map(|r| {
-                let idx = (splitmix(pick_base ^ r as u64) % variants.len() as u64)
-                    as usize;
-                spec_for(&variants[idx], deadline)
-            })
-            .collect();
-        let completed = Arc::clone(&completed);
-        let rejected = Arc::clone(&rejected);
-        let deadline_missed = Arc::clone(&deadline_missed);
-        let thread_errors = Arc::clone(&errors);
-        let handle = std::thread::Builder::new()
-            .name(format!("flatd-bench-{s}"))
-            .stack_size(256 * 1024)
-            .spawn(move || {
-                let mut client = match Client::connect_timeout(&addr, Duration::from_secs(10))
-                {
-                    Ok(c) => c,
-                    Err(_) => {
-                        thread_errors.fetch_add(specs.len() as u64, Ordering::Relaxed);
-                        return Vec::new();
-                    }
-                };
-                let session_start = Instant::now();
-                let mut local = Vec::with_capacity(specs.len());
-                for (r, spec) in specs.into_iter().enumerate() {
-                    if let Some(rate) = rate {
-                        // Open loop: issue on schedule; sleep only if
-                        // we are ahead of it.
-                        let due = Duration::from_secs_f64(r as f64 / rate);
-                        let elapsed = session_start.elapsed();
-                        if due > elapsed {
-                            std::thread::sleep(due - elapsed);
-                        }
-                    }
-                    let t = Instant::now();
-                    match client.exec(&crate::client::exec_request(spec)) {
-                        Ok(_) => {
-                            local.push(t.elapsed().as_nanos() as f64);
-                            completed.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Err(ClientError::Service(e)) if e.code == "busy" => {
-                            rejected.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Err(ClientError::Service(e)) if e.code == "deadline" => {
-                            deadline_missed.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Err(_) => {
-                            thread_errors.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                }
-                local
-            });
-        match handle {
-            Ok(h) => threads.push(h),
-            Err(_) => {
-                errors.fetch_add(cfg.requests as u64, Ordering::Relaxed);
-            }
-        }
-    }
-    for h in threads {
-        if let Ok(local) = h.join() {
-            latencies.lock().expect("latency sink").extend(local);
-        }
-    }
-    let storm_nanos = storm_start.elapsed().as_nanos() as f64;
-    let (hits1, misses1) = cache_counters(&probe.status()?);
-    let dh = hits1.saturating_sub(hits0) as f64;
-    let dm = misses1.saturating_sub(misses0) as f64;
-
-    let completed = completed.load(Ordering::Relaxed);
-    let storm = Percentiles::of(
-        Arc::try_unwrap(latencies)
-            .map(|m| m.into_inner().expect("latency sink"))
-            .unwrap_or_default(),
-    );
-    Ok(LoadReport {
-        cold: Percentiles::of(cold),
-        hit: Percentiles::of(hit),
-        storm,
-        storm_nanos,
-        throughput: if storm_nanos > 0.0 {
-            completed as f64 / (storm_nanos / 1e9)
-        } else {
-            0.0
-        },
-        completed,
-        rejected: rejected.load(Ordering::Relaxed),
-        deadline_missed: deadline_missed.load(Ordering::Relaxed),
-        errors: errors.load(Ordering::Relaxed),
-        storm_hit_rate: if dh + dm > 0.0 { dh / (dh + dm) } else { 1.0 },
-        sessions: cfg.sessions,
-        open_loop: cfg.rate_per_session.is_some(),
-    })
-}
-
-/// Archive a load report as a flat-perf run record (backend `"flatd"`).
-pub fn to_record(cfg: &LoadConfig, report: &LoadReport) -> flat_perf::RunRecord {
-    let mut rec = flat_perf::RunRecord {
-        kind: "bench".to_string(),
-        program: "flatd-bench".to_string(),
-        source_hash: flat_perf::content_hash(&cfg.source),
-        backend: "flatd".to_string(),
-        device: "host".to_string(),
-        clock_ghz: 1.0,
-        threads: Some(cfg.sessions),
-        reps: Some(cfg.requests),
-        args: cfg.args.clone(),
-        total_cycles: report.storm.p99,
-        entries: report
-            .entries()
-            .into_iter()
-            .map(|(key, cycles)| flat_perf::ArchivedEntry { key, cycles })
-            .collect(),
-        ..flat_perf::RunRecord::default()
-    };
-    flat_perf::stamp(&mut rec);
-    rec
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn percentiles_are_order_statistics() {
-        let p = Percentiles::of((1..=100).map(|i| i as f64).collect());
-        assert_eq!(p.count, 100);
-        assert_eq!(p.p50, 51.0);
-        assert_eq!(p.p99, 99.0);
-        assert_eq!(p.max, 100.0);
-        let empty = Percentiles::of(Vec::new());
-        assert_eq!(empty.count, 0);
-    }
 
     #[test]
     fn default_source_is_module_scale_and_compiles() {

@@ -16,8 +16,8 @@
 //! streamed as chunked little-endian bit patterns, so remote results
 //! are **bitwise identical** to a local `flatc exec --backend vm` run —
 //! floats included. [`client`] is the synchronous client behind
-//! `flatc remote exec`, and [`bench`] is the closed-/open-loop load
-//! generator behind `flatc serve-bench`.
+//! `flatc remote exec`, and [`bench`] holds the reference workload the
+//! `flat-ledger` benchmark sends to the daemon.
 //!
 //! See `docs/SERVICE.md` for the protocol grammar, cache-key and
 //! invalidation rules, the admission-control policy, and deployment
@@ -31,7 +31,6 @@ pub mod proto;
 pub mod server;
 
 pub use admit::{AdmitQueue, Job};
-pub use bench::{LoadConfig, LoadReport};
 pub use cache::{program_hash, CompileCache, SampleStore, TuningCache};
 pub use client::{Client, ClientError, ExecReply, ExecSpec};
 pub use proto::{read_frame, write_frame, FrameError, ServiceError, MAX_FRAME};

@@ -1,5 +1,5 @@
 //! Concurrency tests: counters and the recorder must be race-free when
-//! hammered from `crossbeam` scoped threads (the bench binaries run the
+//! hammered from scoped threads (the bench binaries run the
 //! simulator across threads and report into one shared registry).
 
 use flat_obs::{MetricsRegistry, Obs, Recorder};
@@ -8,12 +8,12 @@ const THREADS: usize = 8;
 const PER_THREAD: u64 = 10_000;
 
 #[test]
-fn counters_are_race_free_under_crossbeam_threads() {
+fn counters_are_race_free_under_scoped_threads() {
     let reg = MetricsRegistry::new();
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for _ in 0..THREADS {
             let reg = &reg;
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let c = reg.counter("shared");
                 for _ in 0..PER_THREAD {
                     c.inc();
@@ -22,8 +22,7 @@ fn counters_are_race_free_under_crossbeam_threads() {
                 }
             });
         }
-    })
-    .unwrap();
+    });
     let snap = reg.snapshot();
     let expect = THREADS as u64 * PER_THREAD;
     assert_eq!(snap.counter("shared"), Some(expect));
@@ -35,10 +34,10 @@ fn counters_are_race_free_under_crossbeam_threads() {
 #[test]
 fn recorder_accepts_concurrent_spans() {
     let obs = Obs::new();
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for t in 0..THREADS {
             let obs = &obs;
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for i in 0..100 {
                     let _g = obs
                         .recorder()
@@ -46,24 +45,22 @@ fn recorder_accepts_concurrent_spans() {
                 }
             });
         }
-    })
-    .unwrap();
+    });
     assert_eq!(obs.recorder().events().len(), THREADS * 100);
 }
 
 #[test]
 fn explicit_events_are_race_free() {
     let rec = Recorder::new();
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for t in 0..THREADS {
             let rec = &rec;
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for i in 0..1000 {
                     rec.complete("sim", "k", i as f64, 1.0, t as u64, vec![]);
                 }
             });
         }
-    })
-    .unwrap();
+    });
     assert_eq!(rec.events().len(), THREADS * 1000);
 }

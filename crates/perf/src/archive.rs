@@ -52,17 +52,6 @@ pub fn content_hash(text: &str) -> String {
     format!("{:016x}", fnv1a(text.as_bytes()))
 }
 
-/// The current git revision (short), if the working directory is a git
-/// checkout with `git` on PATH.
-pub fn git_rev() -> Option<String> {
-    flat_bench::baseline::git_rev()
-}
-
-/// The toolchain version string recorded in archive entries.
-pub fn version_string() -> String {
-    format!("flatc {}", env!("CARGO_PKG_VERSION"))
-}
-
 /// One archived kernel launch: the alignment key plus its cost.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ArchivedKernel {
@@ -429,6 +418,31 @@ impl RunRecord {
     }
 }
 
+/// The git revision the toolchain was run from, if the working
+/// directory is a checkout with `git` on PATH. Recorded into baselines
+/// and perf-archive records so a number can be traced to the code that
+/// produced it.
+pub fn git_rev() -> Option<String> {
+    let out = std::process::Command::new("git")
+        .args(["rev-parse", "--short=12", "HEAD"])
+        .output()
+        .ok()?;
+    if !out.status.success() {
+        return None;
+    }
+    let rev = String::from_utf8(out.stdout).ok()?.trim().to_string();
+    if rev.is_empty() {
+        None
+    } else {
+        Some(rev)
+    }
+}
+
+/// The `flatc` version string recorded alongside measurements.
+pub fn version_string() -> String {
+    format!("flatc {}", env!("CARGO_PKG_VERSION"))
+}
+
 /// Common provenance stamped on every record this process produces.
 pub fn stamp(rec: &mut RunRecord) {
     rec.git_rev = git_rev();
@@ -524,27 +538,6 @@ pub fn from_vm(
         prov,
     );
     rec.backend = "vm".to_string();
-    rec
-}
-
-/// Build a record from a bench-suite measurement.
-pub fn from_bench(baseline: &flat_bench::Baseline, device: &str) -> RunRecord {
-    let backend = flat_bench::backend_of(baseline).unwrap_or("sim").to_string();
-    let mut rec = RunRecord {
-        kind: "bench".to_string(),
-        program: "suite".to_string(),
-        backend,
-        device: device.to_string(),
-        clock_ghz: if device == "host" { 1.0 } else { 0.0 },
-        total_cycles: baseline.entries.iter().map(|e| e.cycles).sum(),
-        entries: baseline
-            .entries
-            .iter()
-            .map(|e| ArchivedEntry { key: e.key.clone(), cycles: e.cycles })
-            .collect(),
-        ..RunRecord::default()
-    };
-    stamp(&mut rec);
     rec
 }
 

@@ -36,8 +36,7 @@ pub mod diff;
 pub mod regret;
 
 pub use archive::{
-    append_record, content_hash, fnv1a, from_bench, from_exec, from_sim, from_tune, from_vm,
-    git_rev,
+    append_record, content_hash, fnv1a, from_exec, from_sim, from_tune, from_vm, git_rev,
     load_archive, render_log, resolve, stamp, version_string, ArchivedEntry, ArchivedKernel,
     RunRecord, ARCHIVE_SCHEMA, DEFAULT_ARCHIVE,
 };

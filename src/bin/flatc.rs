@@ -18,7 +18,6 @@
 //! $ flatc serve    [--addr HOST:PORT] [--workers N] [--queue N] [--cache N]
 //! $ flatc remote   exec prog.fut ENTRY --connect HOST:PORT [--check-local]
 //! $ flatc remote   {compile|status|shutdown} ... --connect HOST:PORT
-//! $ flatc serve-bench [--sessions N] [--requests N] [--rate R] [--json]
 //! ```
 //!
 //! `--arg` accepts either an integer (an `i64` scalar, typically a size)
@@ -45,18 +44,17 @@
 //! report; `--sample-log FILE` appends one JSON line per dispatched
 //! kernel (loadable via `autotune::load_sample_log`).
 //!
-//! `flatc bench` measures the built-in benchmark suite: `--write`
-//! records a baseline under `results/baseline/baseline.json`, and
-//! `--check` compares a fresh measurement against it, exiting nonzero
-//! on any above-tolerance regression.
+//! `flatc bench` measures the built-in benchmark suite on the
+//! simulator: `--write` records a baseline under
+//! `results/baseline/baseline.json`, and `--check` compares a fresh
+//! measurement against it, exiting nonzero on any above-tolerance
+//! regression. Host wall-clock timing is the `flat-ledger` benchmark's.
 //!
 //! Service mode: `flatc serve` runs the `flatd` daemon (content-hash
 //! compile cache, per-device tuning cache, bounded-queue admission
 //! control, streaming results); `flatc remote exec` executes on it with
 //! results bitwise-identical to a local `--backend vm` run
-//! (`--check-local` verifies that in-process); `flatc serve-bench`
-//! measures p50/p99 latency and throughput under concurrent sessions.
-//! See docs/SERVICE.md.
+//! (`--check-local` verifies that in-process). See docs/SERVICE.md.
 //!
 //! Static analysis: `flatc lint` runs the flat-verify checker after
 //! every pass (elaboration, fusion, both flattening modes,
@@ -159,8 +157,7 @@ const USAGE: &str = "usage:
                  [--exhaustive] [--coverage] [--out FILE] [--trace FILE]
                  [--threads N] [--data-seed S]
                  --dataset a1,a2,... [--dataset ...]
-  flatc bench    [--check|--write] [--backend sim|exec|vm]
-                 [--device k40|vega64] [--threads N]
+  flatc bench    [--check|--write] [--device k40|vega64]
                  [--baseline FILE] [--tolerance PCT]
   flatc fuzz     [--iters N] [--seed S] [--corpus DIR] [--failures DIR]
                  [--max-failures N] [--verify|--no-verify] [--no-exec]
@@ -174,10 +171,6 @@ const USAGE: &str = "usage:
   flatc remote compile <file> <entry> --connect ADDR [--lint]
   flatc remote status   --connect ADDR
   flatc remote shutdown --connect ADDR
-  flatc serve-bench [--connect ADDR] [--sessions N] [--requests N]
-                 [--programs N] [--rate R] [--deadline-ms N] [--seed S]
-                 [--file F] [--entry E] [--arg ...] [--json]
-                 [--archive [FILE]]
   flatc perf log    [--archive FILE] [--limit N]
   flatc perf diff   <runA> <runB> [--archive FILE] [--folded FILE]
   flatc perf regret <file> <entry> [--threads N] [--grain N] [--reps N]
@@ -212,7 +205,6 @@ fn run(args: &[String], quiet: bool) -> Result<(), CliError> {
         "fuzz" => return run_fuzz(rest, quiet),
         "perf" => return run_perf(rest, quiet),
         "serve" => return run_serve(rest, quiet),
-        "serve-bench" => return run_serve_bench(rest, quiet),
         "remote" => return run_remote(rest, quiet),
         "check" | "lint" | "compile" | "flatten" | "tree" | "simulate" | "exec" | "tune" => {}
         other => return Err(Usage(format!("unknown command `{other}`"))),
@@ -606,44 +598,26 @@ fn print_lint(report: &verify::LintReport) -> Result<(), CliError> {
     }
 }
 
-/// `flatc bench`: measure the built-in suite; `--write` records the
-/// baseline, `--check` gates on it.
+/// `flatc bench`: measure the built-in suite on the simulator;
+/// `--write` records the baseline, `--check` gates on it.
 fn run_bench(rest: &[String], quiet: bool) -> Result<(), CliError> {
-    let backend = option_values(rest, "--backend").next().unwrap_or("sim");
+    if let Some(backend) = option_values(rest, "--backend").find(|b| *b != "sim") {
+        return Err(Usage(format!(
+            "bench --backend {backend}: bench measures simulated cycles only; \
+             host wall-clock timing is the ledger's (`ledger --workload kernels`)"
+        )));
+    }
     let path = option_values(rest, "--baseline")
         .next()
         .unwrap_or("results/baseline/baseline.json");
     let tolerance = parse_opt_num(rest, "--tolerance", 2.0f64)?;
-    let (current, device_label) = match backend {
-        "sim" => {
-            let dev = parse_device(rest).map_err(Usage)?;
-            if !quiet {
-                eprintln!("measuring benchmark suite on {}...", dev.name);
-            }
-            (bench::measure_suite(&dev), dev.name)
-        }
-        "exec" | "vm" => {
-            let threads: Option<usize> = opt_num(rest, "--threads")?;
-            let reps = parse_opt_num(rest, "--reps", 3usize)?;
-            if !quiet {
-                eprintln!(
-                    "measuring benchmark suite ({backend} backend) on {} host threads...",
-                    threads.unwrap_or_else(exec::default_threads)
-                );
-            }
-            let measure: bench::HostMeasure =
-                if backend == "vm" { vm::measure } else { exec::measure };
-            (bench::measure_suite_host(backend, measure, threads, reps, 1), "host")
-        }
-        other => {
-            return Err(Usage(format!(
-                "unknown --backend {other} (expected sim, exec, or vm)"
-            )))
-        }
-    };
+    let dev = parse_device(rest).map_err(Usage)?;
+    if !quiet {
+        eprintln!("measuring benchmark suite on {}...", dev.name);
+    }
+    let current = bench::measure_suite(&dev);
     if let Some(apath) = archive_path(rest) {
-        let mut rec = perf::from_bench(&current, device_label);
-        archive_append(apath, &mut rec, quiet)?;
+        archive_append(apath, &mut current.to_record(dev.name), quiet)?;
     }
     if rest.iter().any(|a| a == "--write") {
         let p = std::path::Path::new(path);
@@ -654,7 +628,6 @@ fn run_bench(rest: &[String], quiet: bool) -> Result<(), CliError> {
     if rest.iter().any(|a| a == "--check") {
         let base = bench::Baseline::load(std::path::Path::new(path))
             .map_err(|e| Fail(format!("{path}: {e} (run `flatc bench --write` first)")))?;
-        bench::check_same_backend(&base, &current).map_err(Fail)?;
         let cmp = bench::compare(&base, &current, tolerance);
         print!("{}", bench::render_comparison(&cmp, tolerance));
         if cmp.failed() {
@@ -1082,67 +1055,6 @@ fn run_remote_exec(rest: &[String], quiet: bool) -> Result<(), CliError> {
                 reply.values.len()
             );
         }
-    }
-    Ok(())
-}
-
-/// `flatc serve-bench`: the flatd load generator. With `--connect` it
-/// drives an existing daemon; otherwise it starts an in-process one,
-/// runs the load, and shuts it down.
-fn run_serve_bench(rest: &[String], quiet: bool) -> Result<(), CliError> {
-    let mut cfg = serve::LoadConfig {
-        sessions: parse_opt_num(rest, "--sessions", 32usize)?,
-        requests: parse_opt_num(rest, "--requests", 8usize)?,
-        programs: parse_opt_num(rest, "--programs", 16usize)?,
-        seed: parse_opt_num(rest, "--seed", 0x10adu64)?,
-        rate_per_session: opt_num(rest, "--rate")?,
-        deadline_ms: opt_num(rest, "--deadline-ms")?,
-        ..serve::LoadConfig::default()
-    };
-    if let Some(file) = option_values(rest, "--file").next() {
-        cfg.source =
-            std::fs::read_to_string(file).map_err(|e| Fail(format!("{file}: {e}")))?;
-        cfg.entry = option_values(rest, "--entry").next().unwrap_or("main").to_string();
-        cfg.args = arg_specs(rest);
-    }
-
-    // Either drive an existing daemon or stand one up for the run.
-    let local = match option_values(rest, "--connect").next() {
-        Some(addr) => {
-            cfg.addr = addr
-                .parse()
-                .map_err(|e| Usage(format!("bad --connect {addr}: {e}")))?;
-            None
-        }
-        None => {
-            let server = serve::start(serve::ServerConfig {
-                quiet: true,
-                workers: parse_opt_num(rest, "--workers", 4usize)?,
-                queue: parse_opt_num(rest, "--queue", 256usize)?,
-                ..serve::ServerConfig::default()
-            })
-            .map_err(|e| Fail(format!("flatd: {e}")))?;
-            cfg.addr = server.addr();
-            Some(server)
-        }
-    };
-
-    let outcome = serve::bench::run(&cfg);
-    if let Some(server) = local {
-        server.stop();
-    }
-    let report = outcome.map_err(|e| Fail(e.to_string()))?;
-
-    if rest.iter().any(|a| a == "--json") {
-        let text = obs::json::to_string_pretty(&report.to_json())
-            .map_err(|e| Fail(e.to_string()))?;
-        println!("{text}");
-    } else {
-        print!("{}", report.render());
-    }
-    if let Some(path) = archive_path(rest) {
-        let mut rec = serve::bench::to_record(&cfg, &report);
-        archive_append(path, &mut rec, quiet)?;
     }
     Ok(())
 }

@@ -420,61 +420,79 @@ fn shutdown_drains_and_refuses_new_work() {
     );
 }
 
-/// A small end-to-end run of the load generator: every request must
-/// complete, the storm must run entirely from the compile cache, and
-/// cache hits must be decisively faster than cold compiles.
-#[test]
-fn load_generator_round_trips() {
-    let server = start_server(ServerConfig { workers: 4, ..ServerConfig::default() });
-    let cfg = serve::LoadConfig {
-        addr: server.addr(),
-        sessions: 24,
-        requests: 4,
-        programs: 6,
-        ..serve::LoadConfig::default()
+/// The compile counters in `status`: (hits, misses).
+fn compile_counters(client: &mut Client) -> (u64, u64) {
+    let status = client.status().unwrap();
+    let get = |k: &str| {
+        status
+            .get("cache")
+            .and_then(|c| c.get("compile"))
+            .and_then(|c| c.get(k))
+            .and_then(obs::json::Value::as_u64)
+            .unwrap_or_else(|| panic!("status lacks cache.compile.{k}"))
     };
-    let report = serve::bench::run(&cfg).expect("load run");
-    server.stop();
-
-    assert_eq!(report.completed, 24 * 4);
-    assert_eq!(report.errors, 0);
-    assert_eq!(report.rejected, 0);
-    assert_eq!(report.cold.count, 6);
-    // The hit phase loops the variants until p99 is a real order
-    // statistic (>= 200 samples).
-    assert!(report.hit.count >= 200, "hit samples: {}", report.hit.count);
-    assert_eq!(report.hit.count % 6, 0);
-    assert!(
-        report.storm_hit_rate == 1.0,
-        "storm draws from compiled programs only (hit rate {})",
-        report.storm_hit_rate
-    );
-    assert!(report.throughput > 0.0);
-    assert!(
-        report.hit.p50 < report.cold.p50,
-        "cache hits ({:.0} ns) should beat cold compiles ({:.0} ns)",
-        report.hit.p50,
-        report.cold.p50
-    );
+    (get("hits"), get("misses"))
 }
 
-/// An open-loop run exercises the scheduled-issue path.
+/// Concurrent sessions against pre-compiled programs: every request
+/// completes, none is shed as `busy`, every reply comes from the
+/// compile cache, and the daemon's miss counter does not move.
 #[test]
-fn open_loop_load_completes() {
+fn concurrent_sessions_run_from_the_cache() {
+    const VARIANTS: usize = 4;
+    const SESSIONS: usize = 8;
+    const REQUESTS: usize = 4;
     let server = default_server();
-    let cfg = serve::LoadConfig {
-        addr: server.addr(),
-        sessions: 4,
-        requests: 3,
-        programs: 2,
-        rate_per_session: Some(200.0),
-        ..serve::LoadConfig::default()
-    };
-    let report = serve::bench::run(&cfg).expect("open-loop run");
+    let addr = server.addr();
+    let source = serve::bench::default_source();
+    let variants: Vec<String> = (0..VARIANTS)
+        .map(|i| serve::bench::variant(&source, i))
+        .collect();
+    let mut probe = Client::connect(addr).unwrap();
+    for v in &variants {
+        assert!(
+            !probe.compile(v, "main", false).unwrap().cached,
+            "fresh daemon must compile"
+        );
+    }
+    let before = compile_counters(&mut probe);
+    assert_eq!(before, (0, VARIANTS as u64));
+
+    let replies: Vec<Result<bool, ClientError>> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..SESSIONS)
+            .map(|t| {
+                let variants = &variants;
+                s.spawn(move || {
+                    let mut client = Client::connect(addr).unwrap();
+                    let args = ["256".to_string(), "[256]i64".to_string()];
+                    (0..REQUESTS)
+                        .map(|r| {
+                            let source = &variants[(t + r) % VARIANTS];
+                            client
+                                .exec_source(source, "main", &args)
+                                .map(|reply| reply.cached)
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap())
+            .collect()
+    });
+    assert_eq!(replies.len(), SESSIONS * REQUESTS);
+    for reply in replies {
+        match reply {
+            Ok(cached) => assert!(cached, "a pre-compiled program was compiled again"),
+            Err(e) => panic!("request failed: {e}"),
+        }
+    }
+    let after = compile_counters(&mut probe);
+    assert_eq!(after, (before.0 + (SESSIONS * REQUESTS) as u64, before.1));
+    let admit = &server.daemon().admit;
+    assert_eq!(admit.rejected.load(std::sync::atomic::Ordering::Relaxed), 0);
     server.stop();
-    assert!(report.open_loop);
-    assert_eq!(report.completed, 12);
-    assert_eq!(report.errors, 0);
 }
 
 #[test]

@@ -419,43 +419,6 @@ fn cli_regret_reports_and_logs_samples() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The `--check` gate refuses to compare wall-clock measurements taken
-/// by different backends: a `vm` baseline cannot gate an `exec`
-/// measurement (the numbers are commensurable in units but not in
-/// meaning — the VM's compiled dispatch is the thing being measured),
-/// and the error tells the user how to re-record.
-#[test]
-fn bench_check_refuses_vm_vs_exec_baseline() {
-    let dir = tmp_dir("vm-gate");
-    let base = dir.join("baseline.json");
-    let base = base.to_str().unwrap();
-
-    let (ok, _, stderr) = flatc(&[
-        "bench", "--backend", "vm", "--write", "--baseline", base, "--reps", "1", "--threads",
-        "2", "--quiet",
-    ]);
-    assert!(ok, "{stderr}");
-
-    // Same backend: the gate runs (huge tolerance so debug-build timing
-    // noise cannot fail it — this test is about the refusal, not speed).
-    let (ok, stdout, stderr) = flatc(&[
-        "bench", "--backend", "vm", "--check", "--baseline", base, "--reps", "1", "--threads",
-        "2", "--tolerance", "1e9", "--quiet",
-    ]);
-    assert!(ok, "{stdout}{stderr}");
-
-    // Cross backend: refused before any comparison happens.
-    let (ok, _, stderr) = flatc(&[
-        "bench", "--backend", "exec", "--check", "--baseline", base, "--reps", "1", "--threads",
-        "2", "--tolerance", "1e9", "--quiet",
-    ]);
-    assert!(!ok);
-    assert!(stderr.contains("cannot compare across backends"), "{stderr}");
-    assert!(stderr.contains("`vm`"), "{stderr}");
-    assert!(stderr.contains("--backend exec"), "{stderr}");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 /// VM runs archive like executor runs — same report type, backend tag
 /// `"vm"` — and survive the JSONL round trip bitwise, wall times and
 /// per-launch costs alike.
