@@ -434,40 +434,34 @@ fn compile_counters(client: &mut Client) -> (u64, u64) {
     (get("hits"), get("misses"))
 }
 
-/// Concurrent sessions against pre-compiled programs: every request
-/// completes, none is shed as `busy`, every reply comes from the
-/// compile cache, and the daemon's miss counter does not move.
-#[test]
-fn concurrent_sessions_run_from_the_cache() {
-    const VARIANTS: usize = 4;
-    const SESSIONS: usize = 8;
-    const REQUESTS: usize = 4;
-    let server = default_server();
-    let addr = server.addr();
-    let source = serve::bench::default_source();
-    let variants: Vec<String> = (0..VARIANTS)
-        .map(|i| serve::bench::variant(&source, i))
-        .collect();
-    let mut probe = Client::connect(addr).unwrap();
-    for v in &variants {
-        assert!(
-            !probe.compile(v, "main", false).unwrap().cached,
-            "fresh daemon must compile"
-        );
-    }
-    let before = compile_counters(&mut probe);
-    assert_eq!(before, (0, VARIANTS as u64));
-
-    let replies: Vec<Result<bool, ClientError>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..SESSIONS)
+/// A test-side load generator: `sessions` client threads each send
+/// `requests` `exec_source` requests, cycling through `variants`. With a
+/// `period`, each session is open-loop: request `r` is sent at
+/// `start + r * period` (or at once if the reply to `r - 1` came later).
+/// Returns every reply's `cached` flag, or its error.
+fn run_sessions(
+    addr: std::net::SocketAddr,
+    variants: &[String],
+    sessions: usize,
+    requests: usize,
+    period: Option<Duration>,
+) -> Vec<Result<bool, ClientError>> {
+    std::thread::scope(|s| {
+        let handles: Vec<_> = (0..sessions)
             .map(|t| {
-                let variants = &variants;
                 s.spawn(move || {
                     let mut client = Client::connect(addr).unwrap();
                     let args = ["256".to_string(), "[256]i64".to_string()];
-                    (0..REQUESTS)
+                    let start = std::time::Instant::now();
+                    (0..requests)
                         .map(|r| {
-                            let source = &variants[(t + r) % VARIANTS];
+                            if let Some(period) = period {
+                                let due = start + period * r as u32;
+                                std::thread::sleep(
+                                    due.saturating_duration_since(std::time::Instant::now()),
+                                );
+                            }
+                            let source = &variants[(t + r) % variants.len()];
                             client
                                 .exec_source(source, "main", &args)
                                 .map(|reply| reply.cached)
@@ -480,14 +474,72 @@ fn concurrent_sessions_run_from_the_cache() {
             .into_iter()
             .flat_map(|h| h.join().unwrap())
             .collect()
-    });
-    assert_eq!(replies.len(), SESSIONS * REQUESTS);
+    })
+}
+
+/// Compile `n` variants of the reference workload on a fresh daemon and
+/// return them with the compile counters after the cold compiles.
+fn precompile(probe: &mut Client, n: usize) -> (Vec<String>, (u64, u64)) {
+    let source = serve::bench::default_source();
+    let variants: Vec<String> = (0..n).map(|i| serve::bench::variant(&source, i)).collect();
+    for v in &variants {
+        assert!(
+            !probe.compile(v, "main", false).unwrap().cached,
+            "fresh daemon must compile"
+        );
+    }
+    let counters = compile_counters(probe);
+    assert_eq!(counters, (0, n as u64));
+    (variants, counters)
+}
+
+/// Every reply succeeded and came from the compile cache.
+fn assert_all_cached(replies: Vec<Result<bool, ClientError>>, expected: usize) {
+    assert_eq!(replies.len(), expected);
     for reply in replies {
         match reply {
             Ok(cached) => assert!(cached, "a pre-compiled program was compiled again"),
             Err(e) => panic!("request failed: {e}"),
         }
     }
+}
+
+/// Closed-loop load of concurrent sessions against pre-compiled
+/// programs: every request completes, none is shed as `busy`, every
+/// reply comes from the compile cache, and the daemon's miss counter
+/// does not move.
+#[test]
+fn load_generator_round_trips() {
+    const VARIANTS: usize = 4;
+    const SESSIONS: usize = 8;
+    const REQUESTS: usize = 4;
+    let server = default_server();
+    let mut probe = Client::connect(server.addr()).unwrap();
+    let (variants, before) = precompile(&mut probe, VARIANTS);
+
+    let replies = run_sessions(server.addr(), &variants, SESSIONS, REQUESTS, None);
+    assert_all_cached(replies, SESSIONS * REQUESTS);
+    let after = compile_counters(&mut probe);
+    assert_eq!(after, (before.0 + (SESSIONS * REQUESTS) as u64, before.1));
+    let admit = &server.daemon().admit;
+    assert_eq!(admit.rejected.load(std::sync::atomic::Ordering::Relaxed), 0);
+    server.stop();
+}
+
+/// Open-loop load (each session paced at 200 requests/s): every request
+/// completes from the cache, with no error and no `busy` rejection.
+#[test]
+fn open_loop_load_completes() {
+    const VARIANTS: usize = 2;
+    const SESSIONS: usize = 4;
+    const REQUESTS: usize = 3;
+    let server = default_server();
+    let mut probe = Client::connect(server.addr()).unwrap();
+    let (variants, before) = precompile(&mut probe, VARIANTS);
+
+    let period = Some(Duration::from_millis(5));
+    let replies = run_sessions(server.addr(), &variants, SESSIONS, REQUESTS, period);
+    assert_all_cached(replies, SESSIONS * REQUESTS);
     let after = compile_counters(&mut probe);
     assert_eq!(after, (before.0 + (SESSIONS * REQUESTS) as u64, before.1));
     let admit = &server.daemon().admit;
