@@ -10,7 +10,7 @@
 //! (comparisons depend only on sizes) and returns the memoized runtime
 //! when the path was already measured.
 
-use flat_ir::interp::Thresholds;
+use flat_ir::interp::{path_signature, Thresholds};
 use flat_ir::ThresholdId;
 use gpu_sim::CmpRecord;
 use incflat::ThresholdRegistry;
@@ -34,7 +34,11 @@ pub struct DatasetCache {
 }
 
 impl DatasetCache {
-    /// Record the outcome of an actual run.
+    /// Record the outcome of an actual run. A run that compared one
+    /// threshold with both outcomes followed no single path of the tree,
+    /// so its cost answers for none: [`DatasetCache::predict`] only
+    /// yields tree paths, and the run's first-wins signature may equal
+    /// one that the run did not take.
     pub fn record(&mut self, path: &[CmpRecord], cycles: f64) {
         for c in path {
             let v = self.pars.entry(c.id).or_default();
@@ -42,7 +46,10 @@ impl DatasetCache {
                 v.push(c.par);
             }
         }
-        self.costs.insert(signature_of_path(path), cycles);
+        let sig = path_signature(path);
+        if path.iter().all(|c| sig.contains(&(c.id.0, c.taken))) {
+            self.costs.insert(sig, cycles);
+        }
     }
 
     /// Predicted outcome of one comparison under a candidate value, if
@@ -68,28 +75,8 @@ impl DatasetCache {
         registry: &ThresholdRegistry,
         thresholds: &Thresholds,
     ) -> Option<Signature> {
-        let mut sig: Vec<(u32, bool)> = Vec::new();
-        self.predict_level(registry, thresholds, &[], &mut sig)?;
-        sig.sort_unstable();
-        sig.dedup();
-        Some(sig)
-    }
-
-    fn predict_level(
-        &self,
-        registry: &ThresholdRegistry,
-        thresholds: &Thresholds,
-        prefix: &[(ThresholdId, bool)],
-        sig: &mut Vec<(u32, bool)>,
-    ) -> Option<()> {
-        for child in registry.children_of(prefix) {
-            let o = self.outcome(child.id, thresholds.get(child.id))?;
-            sig.push((child.id.0, o));
-            let mut next = prefix.to_vec();
-            next.push((child.id, o));
-            self.predict_level(registry, thresholds, &next, sig)?;
-        }
-        Some(())
+        let path = registry.path_under(|info| self.outcome(info.id, thresholds.get(info.id)))?;
+        Some(path_signature(&path))
     }
 
     /// The memoized runtime for a signature, if measured.
@@ -112,14 +99,6 @@ impl DatasetCache {
     }
 }
 
-/// Canonicalize an observed path into a signature.
-pub fn signature_of_path(path: &[CmpRecord]) -> Signature {
-    let mut sig: Vec<(u32, bool)> = path.iter().map(|c| (c.id.0, c.taken)).collect();
-    sig.sort_unstable();
-    sig.dedup();
-    sig
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -134,7 +113,7 @@ mod tests {
         let mut c = DatasetCache::default();
         let path = vec![rec(0, 100, false), rec(1, 500, true)];
         c.record(&path, 42.0);
-        assert_eq!(c.lookup(&signature_of_path(&path)), Some(42.0));
+        assert_eq!(c.lookup(&path_signature(&path)), Some(42.0));
         assert_eq!(c.num_paths(), 1);
         assert_eq!(c.observed_pars(ThresholdId(0)), &[100]);
     }
@@ -199,9 +178,19 @@ mod tests {
     }
 
     #[test]
-    fn signature_canonicalization() {
-        let p1 = vec![rec(1, 10, true), rec(0, 5, false)];
-        let p2 = vec![rec(0, 5, false), rec(1, 10, true), rec(1, 10, true)];
-        assert_eq!(signature_of_path(&p1), signature_of_path(&p2));
+    fn a_run_with_mixed_outcomes_answers_for_no_path() {
+        let mut reg = ThresholdRegistry::new();
+        let a = reg.fresh(ThresholdKind::SuffOuter, &[]);
+        let mut cache = DatasetCache::default();
+        // One run compared t0 twice, first refused at par 100, then
+        // taken at par 900 (threshold 500).
+        cache.record(&[rec(0, 100, false), rec(0, 900, true)], 5.0);
+        // Above both degrees every comparison is refused: the predicted
+        // path is {t0: false}, the mixed run's first-wins signature, but
+        // that run did not take it.
+        let sig = cache.predict(&reg, &Thresholds::new().with(a, 1000)).unwrap();
+        assert_eq!(sig, vec![(0, false)]);
+        assert_eq!(cache.lookup(&sig), None);
+        assert_eq!(cache.num_paths(), 0);
     }
 }

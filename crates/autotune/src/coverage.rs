@@ -10,10 +10,9 @@
 //! assignment, which versions ran, where did they come from in the
 //! source, and did the tuner ever explore the path it settled on?*
 
-use crate::cache::signature_of_path;
 use crate::events::{render_signature, EvalEvent};
 use crate::problem::{TuningProblem, TuningResult};
-use flat_ir::interp::Thresholds;
+use flat_ir::interp::{path_signature, Thresholds};
 use flat_ir::prov::Prov;
 use gpu_sim::{SimError, SimReport};
 use incflat::ThresholdKind;
@@ -77,7 +76,7 @@ pub fn dataset_coverage(
     report: &SimReport,
     events: &[EvalEvent],
 ) -> DatasetCoverage {
-    let sig = signature_of_path(&report.path);
+    let sig = path_signature(&report.path);
     let executed = render_signature(&sig);
     let explored: Vec<String> = {
         let mut seen = BTreeSet::new();

@@ -19,7 +19,7 @@ pub mod problem;
 pub mod samples;
 pub mod tuner;
 
-pub use cache::{signature_of_path, DatasetCache, Signature};
+pub use cache::{DatasetCache, Signature};
 pub use samples::{
     join_samples, load_sample_log, load_sample_log_with_warnings, thresholds_for_signature,
     ExecSample, SampleJoin, SignatureStats, SAMPLE_SCHEMA,

@@ -13,14 +13,16 @@
 //!
 //! This module loads such logs back and *joins* them against a
 //! program's branching tree ([`ThresholdRegistry`]): samples group by
-//! path signature, each group checked for tree-consistency (the same
-//! reachability rule the fuzz oracle enumerates), with per-group wall
+//! path signature, each group checked for tree-consistency
+//! ([`ThresholdRegistry::admits`]), with per-group wall
 //! time statistics keyed additionally by shape class. A future online
 //! tuner (ROADMAP item 3) — or the `flatd` daemon (item 1) — can seed
 //! its cost model from [`SampleJoin::warm_start`] instead of starting
 //! from zero measurements.
 
 use crate::cache::Signature;
+use flat_ir::interp::Thresholds;
+use flat_ir::ThresholdId;
 use flat_obs::json::{self, Value};
 use incflat::ThresholdRegistry;
 use std::collections::BTreeMap;
@@ -198,33 +200,14 @@ impl SampleJoin {
 }
 
 /// Reconstruct a threshold assignment that forces an observed
-/// signature: `taken` guards (`Par(..) >= t` held) get the minimum
-/// threshold, not-taken ones an unreachably large one; thresholds not
-/// on the signature's path keep the compiler default. Paired with
+/// signature ([`Thresholds::forcing`]); thresholds not on the
+/// signature's path keep the compiler default. Paired with
 /// [`SampleJoin::warm_start`]'s best signature this is a ready-made
 /// incumbent for `StochasticTuner::start` — e.g. `flatd` seeding a tune
 /// request from the sample log of earlier exec requests.
-pub fn thresholds_for_signature(sig: &Signature) -> flat_ir::interp::Thresholds {
-    let mut t = flat_ir::interp::Thresholds::new();
-    for &(id, taken) in sig {
-        t.set(flat_ir::ast::ThresholdId(id), if taken { 1 } else { i64::MAX });
-    }
-    t
-}
-
-/// Tree-consistency of a signature: the same reachability rule as
-/// `flat_exec::path_in_tree`, restated here so the tuner side can check
-/// logs without depending on the executor crate.
-pub fn signature_in_tree(reg: &ThresholdRegistry, sig: &Signature) -> bool {
-    sig.iter().all(|&(id, _)| {
-        match reg.iter().find(|i| i.id.0 == id) {
-            None => false,
-            Some(info) => info
-                .path
-                .iter()
-                .all(|&(pid, pt)| sig.iter().any(|&(sid, st)| sid == pid.0 && st == pt)),
-        }
-    })
+pub fn thresholds_for_signature(sig: &Signature) -> Thresholds {
+    let decisions: Vec<_> = sig.iter().map(|&(id, taken)| (ThresholdId(id), taken)).collect();
+    Thresholds::forcing(&decisions)
 }
 
 /// Group `samples` by path signature and join each group against the
@@ -254,7 +237,7 @@ pub fn join_samples(reg: &ThresholdRegistry, samples: &[ExecSample]) -> SampleJo
                 *shape_classes.entry(s.shape_class.clone()).or_default() += 1;
             }
             SignatureStats {
-                in_tree: signature_in_tree(reg, &sig),
+                in_tree: reg.admits(&sig),
                 count: group.len(),
                 median_wall_ns,
                 total_wall_ns: group.iter().map(|s| s.wall_ns).sum(),
@@ -316,6 +299,22 @@ mod tests {
         // The lenient path is what the plain loader uses too.
         assert_eq!(load_sample_log(&path).unwrap().len(), 2);
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_forced_signature_replays_on_an_empty_outer_array() {
+        // The outer guard of an empty `xss` sees `Par = 0`; a signature
+        // observed with it taken must replay with it taken.
+        let src = "def main [n][m] (xss: [n][m]i64) = map (\\r -> reduce (+) 0 r) xss";
+        let fl = incflat::flatten_incremental(&flat_lang::compile(src, "main").unwrap()).unwrap();
+        let root = fl.thresholds.iter().find(|i| i.path.is_empty()).expect("an outer guard").id;
+        let t = thresholds_for_signature(&vec![(root.0, true)]);
+        let empty = flat_ir::ArrayVal::new(vec![0, 3], flat_ir::Buffer::I64(Vec::new()));
+        let args = [flat_ir::Value::i64_(0), flat_ir::Value::i64_(3), flat_ir::Value::Array(empty)];
+        let mut interp = flat_ir::interp::Interp::new(&t);
+        interp.bind_args(&fl.prog, &args).unwrap();
+        interp.eval_body(&fl.prog.body).unwrap();
+        assert_eq!(interp.path, vec![(root, true)]);
     }
 
     #[test]

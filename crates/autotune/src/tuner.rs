@@ -16,14 +16,13 @@
 //! assignments — each threshold only matters relative to the parallelism
 //! degrees it is compared against.
 
-use crate::cache::{signature_of_path, DatasetCache};
+use crate::cache::DatasetCache;
 use crate::events::{render_signature, EvalEvent};
 use crate::problem::{TuningProblem, TuningResult};
-use flat_ir::interp::Thresholds;
+use flat_ir::interp::{path_signature, Thresholds};
 use flat_ir::ThresholdId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
 
 /// Log-scaled integer parameter domain (an OpenTuner
 /// `LogIntegerParameter`).
@@ -118,7 +117,7 @@ impl<'p, 'a> Evaluator<'p, 'a> {
             let rep = self.problem.run_dataset(d, t)?;
             self.simulations += 1;
             flat_obs::counter("tune.simulations").inc();
-            let sig = signature_of_path(&rep.path);
+            let sig = path_signature(&rep.path);
             self.last_signatures.push(render_signature(&sig));
             cache.record(&rep.path, rep.cost.total_cycles);
             out.push(rep.cost.total_cycles);
@@ -315,26 +314,17 @@ pub fn exhaustive_tune(
     // Phase 1: per dataset, explore every reachable path by forcing
     // outcomes at the first undecided comparison.
     for di in 0..problem.datasets.len() {
-        let mut stack: Vec<HashMap<ThresholdId, bool>> = vec![HashMap::new()];
+        let mut stack: Vec<Vec<(ThresholdId, bool)>> = vec![Vec::new()];
         while let Some(forced) = stack.pop() {
-            let mut t = Thresholds::new();
-            for id in &ids {
-                match forced.get(id) {
-                    Some(true) => t.set(*id, i64::MIN),
-                    Some(false) => t.set(*id, i64::MAX),
-                    None => {}
-                }
-            }
-            // Skip if this steering's path is already measured.
             let d = &problem.datasets[di];
-            let rep = problem.run_dataset(d, &t)?;
+            let rep = problem.run_dataset(d, &Thresholds::forcing(&forced))?;
             ev.simulations += 1;
             ev.caches[di].record(&rep.path, rep.cost.total_cycles);
             // First comparison not yet forced: branch on it.
-            if let Some(c) = rep.path.iter().find(|c| !forced.contains_key(&c.id)) {
+            if let Some(c) = rep.path.iter().find(|c| forced.iter().all(|(id, _)| *id != c.id)) {
                 for outcome in [true, false] {
                     let mut f = forced.clone();
-                    f.insert(c.id, outcome);
+                    f.push((c.id, outcome));
                     stack.push(f);
                 }
             }
@@ -471,12 +461,6 @@ pub fn exhaustive_tune(
         history: vec![(candidates, best_cost)],
         events: ev.events,
     })
-}
-
-/// Convenience: all signatures (paths) discovered for one dataset after
-/// exhaustive exploration — useful for reports.
-pub fn signature_of(rep: &gpu_sim::SimReport) -> crate::cache::Signature {
-    signature_of_path(&rep.path)
 }
 
 #[cfg(test)]

@@ -209,10 +209,9 @@ proptest::proptest! {
         let mut cache = autotune::DatasetCache::default();
         let ids: Vec<_> = fl.thresholds.ids().collect();
         for mask in 0..(1u32 << ids.len()) {
-            let mut t = Thresholds::new();
-            for (k, id) in ids.iter().enumerate() {
-                t.set(*id, if mask & (1 << k) != 0 { i64::MIN } else { i64::MAX });
-            }
+            let decisions: Vec<_> =
+                ids.iter().enumerate().map(|(k, id)| (*id, mask & (1 << k) != 0)).collect();
+            let t = Thresholds::forcing(&decisions);
             let rep = problem.run_dataset(&problem.datasets[0], &t).unwrap();
             cache.record(&rep.path, rep.cost.total_cycles);
         }
@@ -224,7 +223,7 @@ proptest::proptest! {
         }
         if let Some(predicted) = cache.predict(&fl.thresholds, &t) {
             let rep = problem.run_dataset(&problem.datasets[0], &t).unwrap();
-            let actual = autotune::signature_of_path(&rep.path);
+            let actual = flat_ir::interp::path_signature(&rep.path);
             proptest::prop_assert_eq!(predicted, actual);
         }
     }

@@ -8,8 +8,11 @@
 
 use flat_ir::prov::Prov;
 use flat_ir::ThresholdId;
-use std::collections::HashMap;
+use std::collections::BTreeSet;
 use std::fmt::Write as _;
+
+/// Guard outcomes, one per threshold, in tree order.
+type Decisions = Vec<(ThresholdId, bool)>;
 
 /// What a threshold guards.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -108,81 +111,132 @@ impl ThresholdRegistry {
 
     /// The children of a node in the branching tree: thresholds whose
     /// path is exactly `parent_path` (root: empty path).
-    pub fn children_of(&self, parent_path: &[(ThresholdId, bool)]) -> Vec<&ThresholdInfo> {
-        self.infos
-            .iter()
-            .filter(|i| i.path == parent_path)
-            .collect()
+    fn children_of(&self, parent_path: &[(ThresholdId, bool)]) -> Vec<&ThresholdInfo> {
+        self.infos.iter().filter(|i| i.path == parent_path).collect()
+    }
+
+    /// The one walk of the branching tree, bottom-up from the node at
+    /// `prefix`: `node` folds that node's children, each paired with
+    /// the folds of its subtrees under outcome `true` and `false`. A
+    /// leaf is a node with no children.
+    fn fold<'a, T>(
+        &'a self,
+        prefix: &mut Vec<(ThresholdId, bool)>,
+        node: &mut impl FnMut(Vec<(&'a ThresholdInfo, T, T)>) -> T,
+    ) -> T {
+        let mut kids = Vec::new();
+        for info in self.children_of(prefix) {
+            prefix.push((info.id, true));
+            let on_true = self.fold(prefix, node);
+            prefix.last_mut().expect("just pushed").1 = false;
+            let on_false = self.fold(prefix, node);
+            prefix.pop();
+            kids.push((info, on_true, on_false));
+        }
+        node(kids)
     }
 
     /// An upper bound on the number of distinct code-version paths: the
-    /// number of leaves of the branching tree.
+    /// number of leaves of the branching tree. Several thresholds
+    /// sharing one path are independent version choices at distinct
+    /// program points, so their leaf counts multiply.
     pub fn num_versions(&self) -> usize {
-        // Count leaves by walking the tree. Several thresholds sharing
-        // the same path are independent version choices at distinct
-        // program points, so their leaf counts multiply.
-        fn leaves(reg: &ThresholdRegistry, path: &[(ThresholdId, bool)]) -> usize {
-            let kids = reg.children_of(path);
-            if kids.is_empty() {
-                return 1;
-            }
-            kids.iter()
-                .map(|k| {
-                    let mut t = path.to_vec();
-                    t.push((k.id, true));
-                    let mut f = path.to_vec();
-                    f.push((k.id, false));
-                    leaves(reg, &t) + leaves(reg, &f)
-                })
-                .product()
-        }
-        leaves(self, &[])
+        self.fold(&mut Vec::new(), &mut |kids| kids.iter().map(|(_, t, f)| t + f).product())
     }
 
     /// Render the branching tree in the style of the paper's Fig. 5.
     pub fn render_tree(&self) -> String {
-        let mut out = String::new();
-        self.render_level(&mut out, &[], 0);
+        self.fold(&mut Vec::new(), &mut |kids: Vec<(_, String, String)>| {
+            let mut out = String::new();
+            for (info, on_true, on_false) in kids {
+                let _ = writeln!(out, "{} ({})", info.name, info.id);
+                for (label, sub) in [("[true]", on_true), ("[false]", on_false)] {
+                    if !sub.is_empty() {
+                        let _ = writeln!(out, "  {label}");
+                        for line in sub.lines() {
+                            let _ = writeln!(out, "    {line}");
+                        }
+                    }
+                }
+            }
+            out
+        })
+    }
+
+    /// For every distinct version path, the threshold decisions that
+    /// force it, in tree order. Independent siblings at one node
+    /// multiply (a cartesian product), so the list is capped at `cap`.
+    pub fn assignments(&self, cap: usize) -> Vec<Decisions> {
+        let mut out = self.fold(&mut Vec::new(), &mut |kids: Vec<(_, Vec<Decisions>, _)>| {
+            let mut product: Vec<Decisions> = vec![Vec::new()];
+            for (info, on_true, on_false) in kids {
+                let mut options: Vec<Decisions> = Vec::new();
+                for (taken, subs) in [(true, on_true), (false, on_false)] {
+                    for sub in subs {
+                        let mut opt = vec![(info.id, taken)];
+                        opt.extend(sub);
+                        options.push(opt);
+                    }
+                }
+                let mut next = Vec::new();
+                'outer: for base in &product {
+                    for opt in &options {
+                        let mut v = base.clone();
+                        v.extend(opt.iter().copied());
+                        next.push(v);
+                        if next.len() >= cap {
+                            break 'outer;
+                        }
+                    }
+                }
+                product = next;
+            }
+            product
+        });
+        out.truncate(cap);
+        // Sibling products can repeat when capped.
+        let mut seen = BTreeSet::new();
+        out.retain(|a| seen.insert(a.clone()));
         out
     }
 
-    fn render_level(&self, out: &mut String, path: &[(ThresholdId, bool)], depth: usize) {
-        for info in self.children_of(path) {
-            for _ in 0..depth {
-                out.push_str("  ");
-            }
-            let _ = writeln!(out, "{} ({})", info.name, info.id);
-            let mut t = path.to_vec();
-            t.push((info.id, true));
-            if !self.children_of(&t).is_empty() {
-                for _ in 0..depth + 1 {
-                    out.push_str("  ");
-                }
-                out.push_str("[true]\n");
-                self.render_level(out, &t, depth + 2);
-            }
-            let mut f = path.to_vec();
-            f.push((info.id, false));
-            if !self.children_of(&f).is_empty() {
-                for _ in 0..depth + 1 {
-                    out.push_str("  ");
-                }
-                out.push_str("[false]\n");
-                self.render_level(out, &f, depth + 2);
-            }
-        }
+    /// Whether a path signature is one the tree admits: every compared
+    /// threshold is minted, and the guards that must hold before it is
+    /// reachable were observed with the required outcomes, one outcome
+    /// per threshold. A signature may stop short of a leaf (a kernel
+    /// launch records the path so far).
+    pub fn admits(&self, sig: &[(u32, bool)]) -> bool {
+        let reached = self.fold(&mut Vec::new(), &mut |kids| {
+            kids.iter()
+                .map(|(info, on_true, on_false)| {
+                    match sig.iter().find(|(id, _)| *id == info.id.0) {
+                        Some((_, true)) => 1 + on_true,
+                        Some((_, false)) => 1 + on_false,
+                        None => 0,
+                    }
+                })
+                .sum::<usize>()
+        });
+        reached == sig.len()
     }
 
-    /// Canonicalize a recorded execution path (sequence of comparisons
-    /// with outcomes) into a signature usable as a memoization key.
-    pub fn path_signature(path: &[(ThresholdId, bool)]) -> Vec<(u32, bool)> {
-        let mut seen: HashMap<u32, bool> = HashMap::new();
-        for (id, taken) in path {
-            seen.entry(id.0).or_insert(*taken);
-        }
-        let mut sig: Vec<(u32, bool)> = seen.into_iter().collect();
-        sig.sort_unstable();
-        sig
+    /// The path taken when `decide` gives the outcome of every guard
+    /// the path reaches, in tree order; `None` when it cannot decide
+    /// one. `decide` is asked about guards off the path too, and those
+    /// answers are ignored.
+    pub fn path_under(
+        &self,
+        mut decide: impl FnMut(&ThresholdInfo) -> Option<bool>,
+    ) -> Option<Decisions> {
+        self.fold(&mut Vec::new(), &mut |kids| {
+            let mut path = Vec::new();
+            for (info, on_true, on_false) in kids {
+                let taken = decide(info)?;
+                path.push((info.id, taken));
+                path.extend(if taken { on_true } else { on_false }?);
+            }
+            Some(path)
+        })
     }
 }
 
@@ -225,12 +279,69 @@ mod tests {
         assert_eq!(reg.num_versions(), 3);
     }
 
+    /// Fig. 5's two-level shape: t0 at the root, t1 under t0 = false.
+    fn fig5() -> (ThresholdRegistry, ThresholdId, ThresholdId) {
+        let mut reg = ThresholdRegistry::new();
+        let a = reg.fresh(ThresholdKind::SuffOuter, &[]);
+        let b = reg.fresh(ThresholdKind::SuffIntra, &[(a, false)]);
+        (reg, a, b)
+    }
+
     #[test]
-    fn path_signature_dedups_and_sorts() {
-        let a = ThresholdId(3);
-        let b = ThresholdId(1);
-        let sig = ThresholdRegistry::path_signature(&[(a, true), (b, false), (a, true)]);
-        assert_eq!(sig, vec![(1, false), (3, true)]);
+    fn tree_renders_nested_branches() {
+        let (mut reg, a, b) = fig5();
+        reg.fresh(ThresholdKind::SuffOuter, &[(a, false), (b, true)]);
+        assert_eq!(
+            reg.render_tree(),
+            "suff_outer_par_0 (t0)\n  [false]\n    suff_intra_par_1 (t1)\n      [true]\n        \
+             suff_outer_par_2 (t2)\n"
+        );
+    }
+
+    #[test]
+    fn assignments_follow_the_paper_tree_shape() {
+        let (reg, a, b) = fig5();
+        // Three versions: t0 taken; t0 not taken then t1 taken; neither.
+        assert_eq!(
+            reg.assignments(32),
+            vec![vec![(a, true)], vec![(a, false), (b, true)], vec![(a, false), (b, false)]]
+        );
+        assert_eq!(reg.assignments(32).len(), reg.num_versions());
+    }
+
+    #[test]
+    fn assignments_respect_the_cap() {
+        let mut reg = ThresholdRegistry::new();
+        for _ in 0..8 {
+            reg.fresh(ThresholdKind::SuffOuter, &[]);
+        }
+        // 2^8 = 256 full combinations, capped.
+        assert_eq!(reg.num_versions(), 256);
+        assert_eq!(reg.assignments(16).len(), 16);
+        assert!(reg.assignments(0).is_empty());
+    }
+
+    #[test]
+    fn admits_ancestor_closed_signatures_only() {
+        let (reg, _, _) = fig5();
+        for sig in [&[][..], &[(0, true)], &[(0, false)], &[(0, false), (1, true)]] {
+            assert!(reg.admits(sig), "{sig:?}");
+        }
+        // t1 hangs under t0 = false; t9 was never minted; one outcome
+        // per threshold.
+        for sig in [&[(1, true)][..], &[(0, true), (1, true)], &[(9, true)]] {
+            assert!(!reg.admits(sig), "{sig:?}");
+        }
+        assert!(!reg.admits(&[(0, true), (0, false)]));
+    }
+
+    #[test]
+    fn path_under_stops_at_an_undecided_guard() {
+        let (reg, a, b) = fig5();
+        assert_eq!(reg.path_under(|i| Some(i.id == b)), Some(vec![(a, false), (b, true)]));
+        // t1 is unreachable when t0 is taken, so it need not be decided.
+        assert_eq!(reg.path_under(|i| (i.id == a).then_some(true)), Some(vec![(a, true)]));
+        assert_eq!(reg.path_under(|i| (i.id == a).then_some(false)), None);
     }
 }
 

@@ -184,7 +184,7 @@ impl ExecReport {
     /// The canonical signature of the live-dispatched path — same
     /// function the simulator and interpreter signatures go through.
     pub fn signature(&self) -> Vec<(u32, bool)> {
-        gpu_sim::path_signature(&self.path)
+        flat_ir::interp::path_signature(&self.path)
     }
 }
 
@@ -637,7 +637,7 @@ impl Kernels {
             Kind::Scan => (Split::new(segments, inner_w, self.grain, false), widths),
         };
 
-        let path = if record { gpu_sim::path_signature(&trail.path) } else { Vec::new() };
+        let path = if record { flat_ir::interp::path_signature(&trail.path) } else { Vec::new() };
         let start_nanos = self.t0.elapsed().as_nanos() as f64;
         let _span = record.then(|| flat_obs::span(self.tier, k.kind.name()));
         // Telemetry scope for this kernel: a fresh tag for its pool

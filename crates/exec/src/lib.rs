@@ -21,7 +21,7 @@
 //! * Threshold guards (`Par(...) >= t_i`) are evaluated *live* against
 //!   the actual degree of parallelism, using a [`Thresholds`] assignment
 //!   (e.g. loaded from a `.tuning` file); the taken path is recorded
-//!   with the same [`gpu_sim::path_signature`] the simulator emits.
+//!   with the same [`flat_ir::interp::path_signature`] the simulator emits.
 //! * [`measure_with`] provides median-of-k wall-clock timing of any
 //!   run closure, which `autotune` uses as a measured cost function
 //!   (`flatc tune --backend exec`).
@@ -46,7 +46,6 @@ pub use obs::{
 pub use workpool::default_threads;
 
 use gpu_sim::{CostReport, DeviceSpec, KernelCost, KernelLaunch, SimReport};
-use incflat::ThresholdRegistry;
 
 /// A synthetic [`DeviceSpec`] for rendering executor measurements with
 /// the simulator's attribution and profile machinery. Its clock is
@@ -122,19 +121,3 @@ pub fn sim_report_of(rep: &ExecReport, cost_nanos: f64) -> SimReport {
     }
 }
 
-/// Check that a live-dispatched path signature is consistent with the
-/// registry's branching tree: every compared threshold is minted, and
-/// the guards `children_of` says must hold before it is reachable were
-/// observed with the required outcomes. These are exactly the paths the
-/// fuzz oracle's assignment enumeration visits.
-pub fn path_in_tree(reg: &ThresholdRegistry, sig: &[(u32, bool)]) -> bool {
-    sig.iter().all(|&(id, _)| {
-        match reg.iter().find(|i| i.id.0 == id) {
-            None => false,
-            Some(info) => info
-                .path
-                .iter()
-                .all(|&(pid, pt)| sig.iter().any(|&(sid, st)| sid == pid.0 && st == pt)),
-        }
-    })
-}

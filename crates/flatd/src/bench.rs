@@ -4,15 +4,17 @@
 //! pays for a realistic parse and elaboration on a cache miss.
 
 /// The entry point of the default workload: a small reduction, cheap to
-/// execute so the storm phase measures the service, not the kernel.
+/// execute so the ledger's `serve-hit` requests time the service (frame
+/// codec, hash, cache hit, admission), not the kernel.
 pub const DEFAULT_SOURCE: &str = "def main [n] (xs: [n]i64): i64 = reduce (+) 0 xs";
 
 /// The default workload source: [`DEFAULT_SOURCE`]'s trivial entry
 /// point inside a module-scale program (160 auxiliary depth-3
 /// nested-parallel definitions). Real clients ship whole modules, not
 /// one-liners, and parse/elaboration cost scales with the module — so
-/// with this source the cold/hit latency gap measures what the compile
-/// cache actually saves, instead of drowning in round-trip noise.
+/// the ledger's `serve-hit` variants of this source ([`variant`]) each
+/// pay a realistic compile once, in set-up, and the timed requests are
+/// compile-cache hits on module-scale entries.
 pub fn default_source() -> String {
     let mut src = String::new();
     for i in 0..160 {

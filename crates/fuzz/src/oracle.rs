@@ -10,14 +10,13 @@
 //!    elaborated, type-checked program.
 //! 3. **Post-fusion IR** — the same after [`flat_ir::fusion`].
 //! 4. **Flattened versions** — for each flattening mode, the oracle
-//!    walks the threshold branching tree, derives an assignment that
-//!    *forces* every distinct version path (threshold `0` forces a
-//!    guard to take its sufficient-parallelism branch, `i64::MAX`
-//!    forces the other), and runs the multi-versioned program under
-//!    each assignment. Every forced version must reproduce the source
-//!    result exactly — the paper's central equivalence claim. The GPU
-//!    simulator runs alongside each version and its recorded path must
-//!    match the interpreter's ([`gpu_sim::sim::path_signature`]).
+//!    takes the decisions that force every distinct version path
+//!    ([`incflat::ThresholdRegistry::assignments`]), and runs the
+//!    multi-versioned program under each forcing
+//!    ([`Thresholds::forcing`]). Every forced version must reproduce the
+//!    source result exactly — the paper's central equivalence claim. The
+//!    GPU simulator runs alongside each version and its recorded path
+//!    must match the interpreter's ([`path_signature`]).
 //!
 //! Fusion and flattening run through the compile driver
 //! ([`incflat::driver`]), as in `flatc` and `flatd`. Three further legs
@@ -34,16 +33,15 @@
 
 use crate::eval::{self, V};
 use flat_exec::{ExecError, ExecReport};
-use flat_ir::interp::{Interp, Thresholds};
+use flat_ir::interp::{path_signature, Interp, Thresholds};
 use flat_ir::value::{ArrayVal, Buffer};
 use flat_ir::{ThresholdId, Value};
 use flat_lang::syntax::SDef;
 use flat_verify::LintReport;
 use gpu_sim::DeviceSpec;
 use incflat::driver::{self, Pass};
-use incflat::{FlattenConfig, ThresholdRegistry};
+use incflat::FlattenConfig;
 use rand::prelude::*;
-use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Concrete inputs for the fixed fuzz signature
@@ -252,12 +250,8 @@ impl Oracle {
                     .map_err(|e| fail("flatten", format!("{mode}: {e}")))
             })?;
             guard("verify-flatten", || verify_clean("verify-flatten", mode, &mut lint))?;
-            let assignments = enumerate_assignments(&fl.thresholds, self.max_assignments);
-            for asg in &assignments {
-                let mut t = Thresholds::new();
-                for (id, taken) in asg {
-                    t.set(*id, if *taken { 0 } else { i64::MAX });
-                }
+            for asg in &fl.thresholds.assignments(self.max_assignments) {
+                let t = Thresholds::forcing(asg);
                 let ctx = || format!("{mode}, forced {}", render_assignment(asg));
 
                 let (got, interp_path) = guard("version-run", || {
@@ -275,7 +269,7 @@ impl Oracle {
                 }
                 report.versions_checked += 1;
 
-                let isig = ThresholdRegistry::path_signature(&interp_path);
+                let isig = path_signature(&interp_path);
                 // Every decision the run actually took must agree with
                 // what the assignment forced (unreached guards are fine
                 // — an `if` can skip a whole version region).
@@ -297,7 +291,7 @@ impl Oracle {
                     gpu_sim::sim::simulate_values(&fl.prog, &args, &t, &dev)
                         .map_err(|e| fail("simulate", format!("{}: {e}", ctx())))
                 })?;
-                let ssig = gpu_sim::sim::path_signature(&sim.path);
+                let ssig = path_signature(&sim.path);
                 if ssig != isig {
                     return Err(fail(
                         "sim-path",
@@ -343,7 +337,7 @@ impl Oracle {
                     return Err(mismatch(values, &reference, &live.values, mode));
                 }
                 let sig = live.signature();
-                if !flat_exec::path_in_tree(&fl.thresholds, &sig) {
+                if !fl.thresholds.admits(&sig) {
                     let who = tier.names[1];
                     let detail = format!("{mode}: {who} path {sig:?} is not in the threshold tree");
                     return Err(fail(path, detail));
@@ -486,61 +480,6 @@ fn render_assignment(asg: &[(ThresholdId, bool)]) -> String {
         .join(",")
 }
 
-/// Walk the branching tree and produce, for every distinct version
-/// path, the set of threshold decisions that forces it. Independent
-/// siblings at the same tree node multiply (cartesian product), so the
-/// result is capped at `cap` assignments.
-pub fn enumerate_assignments(
-    reg: &ThresholdRegistry,
-    cap: usize,
-) -> Vec<Vec<(ThresholdId, bool)>> {
-    fn walk(
-        reg: &ThresholdRegistry,
-        prefix: &[(ThresholdId, bool)],
-        cap: usize,
-    ) -> Vec<Vec<(ThresholdId, bool)>> {
-        let kids = reg.children_of(prefix);
-        if kids.is_empty() {
-            return vec![Vec::new()];
-        }
-        let mut product: Vec<Vec<(ThresholdId, bool)>> = vec![Vec::new()];
-        for kid in kids {
-            let mut options: Vec<Vec<(ThresholdId, bool)>> = Vec::new();
-            for taken in [true, false] {
-                let mut below = prefix.to_vec();
-                below.push((kid.id, taken));
-                for sub in walk(reg, &below, cap) {
-                    let mut opt = vec![(kid.id, taken)];
-                    opt.extend(sub);
-                    options.push(opt);
-                }
-            }
-            let mut next = Vec::new();
-            'outer: for base in &product {
-                for opt in &options {
-                    let mut v = base.clone();
-                    v.extend(opt.iter().copied());
-                    next.push(v);
-                    if next.len() >= cap {
-                        break 'outer;
-                    }
-                }
-            }
-            product = next;
-        }
-        product
-    }
-    let mut out = walk(reg, &[], cap);
-    out.truncate(cap);
-    // Deduplicate defensively (sibling products can repeat when capped).
-    let mut seen = BTreeSet::new();
-    out.retain(|a| {
-        let key: Vec<(u32, bool)> = a.iter().map(|(id, t)| (id.0, *t)).collect();
-        seen.insert(key)
-    });
-    out
-}
-
 /// Deliberately break every `reduce`/`redomap` whose neutral element is
 /// the literal `0`, swapping it for `1`. Used by tests to prove the
 /// oracle detects a genuinely unsound transformation; returns how many
@@ -587,30 +526,6 @@ pub fn break_zero_neutral_elements(prog: &mut flat_ir::Program) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use incflat::ThresholdKind;
-
-    #[test]
-    fn enumerates_the_paper_tree_shape() {
-        // t0 at the root; t1 under t0=false — Fig. 5's two-level shape.
-        let mut reg = ThresholdRegistry::new();
-        let a = reg.fresh(ThresholdKind::SuffOuter, &[]);
-        let _b = reg.fresh(ThresholdKind::SuffIntra, &[(a, false)]);
-        let asgs = enumerate_assignments(&reg, 32);
-        // Three versions: t0 taken; t0 not taken then t1 taken; neither.
-        assert_eq!(asgs.len(), 3);
-        assert!(asgs.iter().any(|a| a.len() == 1 && a[0].1));
-        assert!(asgs.iter().any(|a| a.len() == 2));
-    }
-
-    #[test]
-    fn enumeration_respects_the_cap() {
-        let mut reg = ThresholdRegistry::new();
-        for _ in 0..8 {
-            reg.fresh(ThresholdKind::SuffOuter, &[]);
-        }
-        // 2^8 = 256 full combinations, capped.
-        assert!(enumerate_assignments(&reg, 16).len() <= 16);
-    }
 
     #[test]
     fn oracle_accepts_a_nested_map_program() {

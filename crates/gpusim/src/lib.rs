@@ -24,6 +24,4 @@ pub use attr::{
 pub use cost::{CostReport, KernelCost, KernelWork};
 pub use device::DeviceSpec;
 pub use launch::{profile_table, trace_events, KernelLaunch};
-pub use sim::{
-    path_signature, simulate, simulate_values, AbsValue, CmpRecord, MemSpace, SimError, SimReport,
-};
+pub use sim::{simulate, simulate_values, AbsValue, CmpRecord, MemSpace, SimError, SimReport};

@@ -184,6 +184,13 @@ pub struct CmpRecord {
     pub taken: bool,
 }
 
+/// A record's decision, as [`flat_ir::interp::path_signature`] reads it.
+impl From<CmpRecord> for (ThresholdId, bool) {
+    fn from(r: CmpRecord) -> Self {
+        (r.id, r.taken)
+    }
+}
+
 /// The result of simulating one program run.
 #[derive(Clone, Debug)]
 pub struct SimReport {
@@ -260,20 +267,6 @@ struct Sim<'a> {
     /// Provenance of the host statement currently executing; stamped
     /// onto every kernel launch it causes.
     cur_prov: Prov,
-}
-
-/// Deduplicate (first occurrence wins) and sort a comparison log into
-/// the canonical path signature — same canonicalization as the tuner's
-/// memoization key.
-pub fn path_signature(path: &[CmpRecord]) -> Vec<(u32, bool)> {
-    let mut sig: Vec<(u32, bool)> = Vec::new();
-    for r in path {
-        if !sig.iter().any(|(id, _)| *id == r.id.0) {
-            sig.push((r.id.0, r.taken));
-        }
-    }
-    sig.sort_unstable();
-    sig
 }
 
 impl<'a> Sim<'a> {
@@ -473,7 +466,7 @@ impl<'a> Sim<'a> {
             launches: 1,
             start_cycle: self.cost.total_cycles,
             prov: self.cur_prov,
-            path: path_signature(&self.path),
+            path: flat_ir::interp::path_signature(&self.path),
         });
         self.cost.record(&c, 1);
     }
@@ -660,7 +653,7 @@ impl<'a> Sim<'a> {
             launches: 1 + work.extra_launches as u64,
             start_cycle: self.cost.total_cycles,
             prov: self.cur_prov,
-            path: path_signature(&self.path),
+            path: flat_ir::interp::path_signature(&self.path),
         });
         self.cost.record(&kcost, 1 + work.extra_launches as u64);
 

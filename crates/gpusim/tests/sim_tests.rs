@@ -2,7 +2,7 @@
 //! that the cost model reproduces the qualitative phenomena the paper's
 //! evaluation rests on.
 
-use flat_ir::interp::Thresholds;
+use flat_ir::interp::{path_signature, Thresholds};
 use flat_ir::value::Value;
 use gpu_sim::{simulate_values, AbsValue, DeviceSpec};
 use incflat::{flatten_incremental, flatten_moderate};
@@ -47,10 +47,9 @@ fn best_and_worst(
     let mut best = f64::INFINITY;
     let mut worst = 0.0f64;
     for mask in 0..(1u32 << ids.len()) {
-        let mut t = Thresholds::new();
-        for (k, id) in ids.iter().enumerate() {
-            t.set(*id, if mask & (1 << k) != 0 { 0 } else { i64::MAX });
-        }
+        let decisions: Vec<_> =
+            ids.iter().enumerate().map(|(k, id)| (*id, mask & (1 << k) != 0)).collect();
+        let t = Thresholds::forcing(&decisions);
         let rep = gpu_sim::simulate(&fl.prog, args, &t, dev).unwrap();
         best = best.min(rep.cost.total_cycles);
         worst = worst.max(rep.cost.total_cycles);
@@ -291,10 +290,10 @@ fn path_signature_is_stable_across_repeated_simulations() {
     ];
     for t in &configs {
         let first = gpu_sim::simulate(&fl.prog, &args, t, &dev).unwrap();
-        let sig = gpu_sim::path_signature(&first.path);
+        let sig = path_signature(&first.path);
         for _ in 0..5 {
             let again = gpu_sim::simulate(&fl.prog, &args, t, &dev).unwrap();
-            assert_eq!(gpu_sim::path_signature(&again.path), sig);
+            assert_eq!(path_signature(&again.path), sig);
             assert_eq!(again.cost.total_cycles, first.cost.total_cycles);
         }
     }
@@ -302,8 +301,8 @@ fn path_signature_is_stable_across_repeated_simulations() {
     let on = gpu_sim::simulate(&fl.prog, &args, &configs[1], &dev).unwrap();
     let off = gpu_sim::simulate(&fl.prog, &args, &configs[2], &dev).unwrap();
     assert_ne!(
-        gpu_sim::path_signature(&on.path),
-        gpu_sim::path_signature(&off.path)
+        path_signature(&on.path),
+        path_signature(&off.path)
     );
 }
 
@@ -332,7 +331,7 @@ fn concrete_value_simulation_records_the_same_signature() {
     let concrete = simulate_values(&fl.prog, &vals, &t, &dev).unwrap();
     let abstr = gpu_sim::simulate(&fl.prog, &matmul_abs(n, m, p), &t, &dev).unwrap();
     assert_eq!(
-        gpu_sim::path_signature(&concrete.path),
-        gpu_sim::path_signature(&abstr.path)
+        path_signature(&concrete.path),
+        path_signature(&abstr.path)
     );
 }

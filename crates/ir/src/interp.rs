@@ -56,9 +56,37 @@ impl Thresholds {
         t
     }
 
+    /// The assignment that forces each listed guard's outcome: `0`
+    /// satisfies any `Par(..) >= t` (degrees are products of array
+    /// extents, never negative), `i64::MAX` refuses it. Unlisted
+    /// thresholds keep the default.
+    pub fn forcing(decisions: &[(ThresholdId, bool)]) -> Thresholds {
+        let mut t = Thresholds::new();
+        for &(id, taken) in decisions {
+            t.set(id, if taken { 0 } else { i64::MAX });
+        }
+        t
+    }
+
     pub fn iter(&self) -> impl Iterator<Item = (ThresholdId, i64)> + '_ {
         self.map.iter().map(|(k, v)| (*k, *v))
     }
+}
+
+/// The canonical signature of a recorded path (comparisons with their
+/// outcomes, in evaluation order): the first outcome of each threshold
+/// wins, sorted by id. Every tier's path and the tuner's memo key go
+/// through this one function.
+pub fn path_signature<P: Copy + Into<(ThresholdId, bool)>>(path: &[P]) -> Vec<(u32, bool)> {
+    let mut sig: Vec<(u32, bool)> = Vec::new();
+    for &p in path {
+        let (id, taken) = p.into();
+        if !sig.iter().any(|&(seen, _)| seen == id.0) {
+            sig.push((id.0, taken));
+        }
+    }
+    sig.sort_unstable();
+    sig
 }
 
 /// An interpretation error (out-of-scope names, shape violations, etc.).

@@ -3,7 +3,7 @@
 
 use flat_ir::ast::*;
 use flat_ir::builder::*;
-use flat_ir::interp::{run_program, Interp, Thresholds};
+use flat_ir::interp::{path_signature, run_program, Interp, Thresholds};
 use flat_ir::types::{Param, ScalarType, Type};
 use flat_ir::value::{ArrayVal, Buffer, Value};
 use flat_ir::VName;
@@ -382,6 +382,25 @@ fn threshold_i64_max_forces_the_sequential_branch() {
     let (v, taken) = run_guarded(i64::MAX, i64::MAX);
     assert!(taken, "saturated par sits on the >= boundary");
     assert_eq!(v, Value::i64_(1));
+}
+
+#[test]
+fn forcing_steers_every_guard_even_at_zero_parallelism() {
+    let prog = guarded_prog();
+    for (n, taken) in [(0, true), (1 << 40, true), (0, false), (1 << 40, false)] {
+        let t = Thresholds::forcing(&[(ThresholdId(0), taken)]);
+        let mut i = Interp::new(&t);
+        i.bind_args(&prog, &[Value::i64_(n)]).unwrap();
+        i.eval_body(&prog.body).unwrap();
+        assert_eq!(i.path, vec![(ThresholdId(0), taken)], "n={n}");
+    }
+}
+
+#[test]
+fn path_signature_keeps_the_first_outcome_of_each_threshold() {
+    let (a, b) = (ThresholdId(3), ThresholdId(1));
+    let sig = path_signature(&[(a, true), (b, false), (a, false), (b, true), (a, true)]);
+    assert_eq!(sig, vec![(1, false), (3, true)]);
 }
 
 #[test]

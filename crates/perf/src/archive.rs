@@ -469,7 +469,7 @@ pub fn from_sim(
         clock_ghz: dev.clock_ghz,
         args: args.to_vec(),
         total_cycles: rep.cost.total_cycles,
-        path: gpu_sim::path_signature(&rep.path),
+        path: flat_ir::interp::path_signature(&rep.path),
         kernels: archived_kernels(&rep.kernels, prov),
         ..RunRecord::default()
     };

@@ -12,10 +12,10 @@
 //! The method is counterfactual re-execution. The program first runs
 //! live on the VM to observe the chosen path and its wall time; then
 //! every distinct version path of the branching tree
-//! (enumerated by the fuzz oracle's [`enumerate_assignments`], capped)
-//! is *forced* — threshold set to `0` to take a comparison, `i64::MAX`
-//! to refuse it, the same idiom the differential fuzzer uses — and
-//! measured the same way. A decision's regret is the chosen path's
+//! ([`ThresholdRegistry::assignments`], capped) is *forced*
+//! ([`Thresholds::forcing`]: threshold `0` takes a comparison,
+//! `i64::MAX` refuses it, as in the differential fuzzer) and measured
+//! the same way. A decision's regret is the chosen path's
 //! wall time minus the best wall time among alternatives that flip
 //! that decision (ancestors held fixed, descendants free: flipping a
 //! guard necessarily re-decides its subtree). For fairness the
@@ -30,8 +30,7 @@
 
 use autotune::Dataset;
 use flat_exec::{shape_class, ExecConfig, ExecError, ExecReport};
-use flat_fuzz::oracle::enumerate_assignments;
-use flat_ir::interp::Thresholds;
+use flat_ir::interp::{path_signature, Thresholds};
 use flat_ir::value::Value as DataValue;
 use flat_obs::json::Value;
 use flat_vm::CompiledProgram;
@@ -144,16 +143,6 @@ pub fn dataset_shape_class(args: &[DataValue]) -> String {
     }
 }
 
-fn forced(base: &Thresholds, asg: &[(flat_ir::ast::ThresholdId, bool)]) -> Thresholds {
-    let mut t = base.clone();
-    for &(id, taken) in asg {
-        // The fuzz oracle's forcing idiom: 0 satisfies any `Par >= t`
-        // comparison, i64::MAX refuses it.
-        t.set(id, if taken { 0 } else { i64::MAX });
-    }
-    t
-}
-
 /// How a sweep prices one configuration: the run's report and the cost
 /// charged to it, nanoseconds. The seam `autotune` has as
 /// `Runner::Custom`: [`wall_clock`] measures, a test can compute.
@@ -231,20 +220,18 @@ pub fn profile_regret(
     let live_sig = live_rep.signature();
 
     // 2. Force and measure every enumerated version path.
-    let assignments = enumerate_assignments(reg, cfg.cap.max(1));
+    let assignments = reg.assignments(cfg.cap.max(1));
     let truncated = {
         // Re-enumerate with a roomier cap only to detect truncation;
         // the tree is tiny compared to a single measurement.
-        let probe = enumerate_assignments(reg, cfg.cap.saturating_mul(2).max(cfg.cap + 1));
+        let probe = reg.assignments(cfg.cap.saturating_mul(2).max(cfg.cap + 1));
         probe.len().saturating_sub(assignments.len())
     };
     let mut alternatives = Vec::with_capacity(assignments.len());
     for asg in &assignments {
-        let (_, wall_ns) = cost(&exec_cfg(forced(&cfg.thresholds, asg)))
+        let (_, wall_ns) = cost(&exec_cfg(Thresholds::forcing(asg)))
             .map_err(|e| format!("forced run {asg:?} failed: {e}"))?;
-        let mut sig: Vec<(u32, bool)> = asg.iter().map(|&(id, t)| (id.0, t)).collect();
-        sig.sort_unstable();
-        sig.dedup();
+        let sig = path_signature(asg);
         let matches_live = live_sig
             .iter()
             .all(|&(id, taken)| sig.iter().any(|&(i, t)| i == id && t == taken));

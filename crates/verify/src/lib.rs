@@ -13,7 +13,7 @@
 //!    solver over size expressions — strict-where-provable shape
 //!    checks and non-negative parallel degrees (V101–V102).
 //! 3. **Threshold-tree lint** ([`thresholds`]): duplicate names, paths
-//!    inconsistent with `children_of`, statically decidable guards
+//!    inconsistent with the branching tree, statically decidable guards
 //!    (V201–V203).
 //! 4. **Write disjointness** ([`disjoint`]): segop results written at
 //!    per-thread-distinct indices (V301).

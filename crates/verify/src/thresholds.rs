@@ -1,9 +1,9 @@
 //! Threshold-tree lint (V201/V202).
 //!
-//! The autotuner and the fuzz oracle both navigate the branching tree
-//! through `ThresholdRegistry::children_of`, which groups thresholds by
-//! their recorded ancestor *path*. Two invariants make that navigation
-//! sound:
+//! The autotuner, the fuzz oracle and the regret profiler navigate the
+//! branching tree through `ThresholdRegistry`'s one walk, which finds a
+//! node's children as the thresholds whose recorded ancestor *path* is
+//! exactly that node's. Two invariants make that navigation sound:
 //!
 //! * names are unique — tuning files (`flatc tune`) key assignments by
 //!   threshold name, so a duplicate silently merges two parameters
@@ -42,9 +42,9 @@ pub fn check_registry(reg: &ThresholdRegistry) -> Vec<Diagnostic> {
         }
     }
 
-    // V202: tree consistency of every recorded path. `children_of`
-    // selects thresholds whose path equals the parent path exactly, so
-    // a node is reachable from the root iff every proper prefix of its
+    // V202: tree consistency of every recorded path. The registry's walk
+    // selects thresholds whose path equals the parent path exactly, so a
+    // node is reachable from the root iff every proper prefix of its
     // path is the recorded path of the corresponding ancestor.
     for info in reg.iter() {
         for (i, (ancestor, _)) in info.path.iter().enumerate() {
@@ -64,7 +64,7 @@ pub fn check_registry(reg: &ThresholdRegistry) -> Vec<Diagnostic> {
                     VRule::InconsistentThresholdPath,
                     info.prov,
                     format!(
-                        "threshold {} ({}) is unreachable via children_of: ancestor {} records a \
+                        "threshold {} ({}) is off the branching tree: ancestor {} records a \
                          different path than the prefix leading to it",
                         info.id, info.name, anc.id
                     ),

@@ -113,7 +113,7 @@ fn run(name: &str, fl: &Flattened, args: &[Value], t: Option<i64>) -> (Vec<Value
     let rep =
         vm::run_compiled(&compiled, args, &cfg).unwrap_or_else(|e| panic!("{name} at {t:?}: {e}"));
     assert!(
-        exec::path_in_tree(&fl.thresholds, &rep.signature()),
+        fl.thresholds.admits(&rep.signature()),
         "{name} at {t:?}"
     );
     if let Some(t) = t {

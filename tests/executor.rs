@@ -101,7 +101,7 @@ fn check_program(name: &str, fl: &compiler::Flattened, args: &[Value]) -> Vec<Ex
             );
             // The live path must be one the branching tree can reach.
             assert!(
-                exec::path_in_tree(&fl.thresholds, &rep.signature()),
+                fl.thresholds.admits(&rep.signature()),
                 "{name}: live path {:?} not in the threshold tree",
                 rep.signature()
             );
@@ -190,9 +190,8 @@ fn corpus_is_deterministic_and_matches_interpreter_exactly() {
 }
 
 /// The live-dispatched path is not just *consistent* with the tree
-/// (`path_in_tree`) — it is literally one of the paths the oracle's
-/// `enumerate_assignments` walk over `ThresholdRegistry::children_of`
-/// produces when forced.
+/// (`ThresholdRegistry::admits`) — it is literally one of the paths
+/// `ThresholdRegistry::assignments` produces when forced.
 #[test]
 fn live_dispatch_takes_an_enumerated_path() {
     let src = "\
@@ -208,16 +207,12 @@ def main [n][m] (xss: [n][m]i64) (ys: [m]i64) (c: i64) =
     let live_sig = live.signature();
 
     let mut forced_sigs = Vec::new();
-    for asg in fuzz::oracle::enumerate_assignments(&fl.thresholds, 32) {
-        let mut t = Thresholds::new();
-        for (id, taken) in &asg {
-            t.set(*id, if *taken { 0 } else { i64::MAX });
-        }
+    for asg in fl.thresholds.assignments(32) {
         let rep = exec::run_program(
             &fl.prog,
             &args,
             &ExecConfig {
-                thresholds: t,
+                thresholds: Thresholds::forcing(&asg),
                 threads: Some(2),
                 grain: SMALL_GRAIN,
                 ..ExecConfig::default()

@@ -209,3 +209,63 @@ fn interpreter_and_simulator_take_the_same_path() {
         assert_eq!(interp_sig, sim_sig, "divergent paths at t={setting}");
     }
 }
+
+/// The branching tree's one walk, read four ways, agrees with itself on
+/// every benchmark and example: uncapped, the assignments enumerate
+/// exactly `num_versions` paths, each a distinct signature the tree
+/// admits, and forcing one in the interpreter takes exactly that path.
+#[test]
+fn tree_walkers_agree_on_every_program() {
+    let mut programs: Vec<(String, compiler::Flattened, Vec<ir::Value>)> = Vec::new();
+    for b in bench_suite::all_benchmarks() {
+        let args = (b.test_args)(&mut bench_suite::Benchmark::rng());
+        let fl = b.flatten(&compiler::FlattenConfig::incremental());
+        programs.push((b.name.to_string(), fl, args));
+    }
+    for (name, sizes) in [
+        ("matmul", "4,8,4,[4][8]f32,[8][4]f32"),
+        ("sumrows", "4,8,[4][8]f32"),
+        ("locvolcalib", "8,8,8,[8][8][8]f32,[8][8][8]f32,2"),
+    ] {
+        let src = std::fs::read_to_string(format!("examples/{name}.fut")).unwrap();
+        let fl = compiler::flatten_incremental(&lang::compile(&src, name).unwrap()).unwrap();
+        let abs: Vec<gpu::AbsValue> = sizes.split(',').map(|s| s.parse().unwrap()).collect();
+        programs.push((name.to_string(), fl, exec::materialize(&abs, 7).unwrap()));
+    }
+    for (name, fl, args) in &programs {
+        let reg = &fl.thresholds;
+        let n = reg.num_versions();
+        let asgs = reg.assignments(n + 1);
+        assert_eq!(asgs.len(), n, "{name}");
+        let mut sigs = std::collections::BTreeSet::new();
+        for asg in &asgs {
+            let sig = ir::interp::path_signature(asg);
+            assert!(reg.admits(&sig), "{name}: {asg:?}");
+            assert!(sigs.insert(sig.clone()), "{name}: {asg:?} enumerated twice");
+            let t = Thresholds::forcing(asg);
+            let mut interp = ir::interp::Interp::new(&t);
+            interp.bind_args(&fl.prog, args).unwrap();
+            interp.eval_body(&fl.prog.body).unwrap();
+            assert_eq!(ir::interp::path_signature(&interp.path), sig, "{name}: forced {asg:?}");
+        }
+    }
+}
+
+/// `flatc tree` and `fig5_tree` print `ThresholdRegistry::render_tree`;
+/// its Fig. 5 layout is pinned on the examples.
+#[test]
+fn tree_rendering_is_pinned_on_the_examples() {
+    let sumrows = "suff_outer_par_0 (t0)\n  [false]\n    suff_intra_par_1 (t1)\n";
+    let matmul = "suff_outer_par_0 (t0)\n  [false]\n    suff_intra_par_1 (t1)\n      \
+                  [false]\n        suff_outer_par_2 (t2)\n          [false]\n            \
+                  suff_intra_par_3 (t3)\n";
+    let locvolcalib = format!(
+        "{matmul}        suff_outer_par_4 (t4)\n          [false]\n            \
+         suff_intra_par_5 (t5)\n"
+    );
+    for (name, want) in [("sumrows", sumrows), ("matmul", matmul), ("locvolcalib", &locvolcalib)] {
+        let src = std::fs::read_to_string(format!("examples/{name}.fut")).unwrap();
+        let fl = compiler::flatten_incremental(&lang::compile(&src, name).unwrap()).unwrap();
+        assert_eq!(fl.thresholds.render_tree(), want, "{name}");
+    }
+}

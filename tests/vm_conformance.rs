@@ -147,7 +147,7 @@ fn check_conformance(name: &str, fl: &compiler::Flattened, args: &[Value]) {
                 "{name}: grain {grain}, {threads} threads: vm path differs from exec"
             );
             assert!(
-                exec::path_in_tree(&fl.thresholds, &vrep.signature()),
+                fl.thresholds.admits(&vrep.signature()),
                 "{name}: vm live path {:?} not in the threshold tree",
                 vrep.signature()
             );
